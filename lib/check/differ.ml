@@ -808,6 +808,151 @@ let check_concurrent_clients (tr : Trace.trace) =
     if not (Db.audit db) then fail "client storm: chain audit failed"
   end
 
+(* Schema rows and KV batches racing through the one write path. Even
+   committers commit the trace's batches as KV blocks (some keys carry the
+   column separator); odd committers turn each write of their batches into
+   one insert or delete of a row they own. Afterwards the committed order —
+   recovered from the blocks' statements — replayed serially must reproduce
+   the digest, and a save/load must answer every read exactly as the live
+   database does: the live cell store and the one recovery rebuilds are the
+   same function of the journal. *)
+
+module Schema = Spitz.Schema
+module Json = Spitz.Json
+
+let race_spec =
+  let col col_name col_type = { Schema.col_name; col_type; indexed = true } in
+  { Schema.table_name = "race"; primary_key = "id";
+    columns = [ col "s" Schema.T_text; col "n" Schema.T_int ] }
+
+type race_op = Kv of Ledger.write list | Row of string * (string * Json.t) list option
+
+let race_ops c batches =
+  let kv_key k = if k mod 4 = 0 then Trace.key k ^ "\x1fq" else Trace.key k in
+  let row k = Printf.sprintf "r%d-%d" c k in
+  if c mod 2 = 0 then
+    List.map
+      (fun ws ->
+         Kv
+           (List.map
+              (function
+                | Trace.W (k, v) -> Ledger.Put (kv_key k, Trace.value k v)
+                | Trace.D k -> Ledger.Delete (kv_key k))
+              ws))
+      batches
+  else
+    List.concat_map
+      (List.map (function
+         | Trace.W (k, v) ->
+           Row (row k, Some [ ("s", Json.Str (Trace.value k v)); ("n", Json.Num (float v)) ])
+         | Trace.D k -> Row (row k, None)))
+      batches
+
+let run_race_op db table (c, j) = function
+  | Kv ws -> ignore (Db.commit db ~statements:[ sentinel c j ] ws)
+  | Row (pk, Some row) -> ignore (Schema.insert table ~pk row)
+  | Row (pk, None) -> ignore (Schema.delete table ~pk)
+
+(* A block's committer: the sentinel of a KV block, the owner named by the
+   row of a schema block's statement. *)
+let race_committer statement =
+  try Scanf.sscanf statement "cc:%d:%d" (fun c _ -> c)
+  with Scanf.Scan_failure _ | End_of_file | Failure _ -> (
+    try Scanf.sscanf statement "%s race pk=r%d-" (fun _ c -> c)
+    with Scanf.Scan_failure _ | End_of_file | Failure _ ->
+      fail "block statement %S names no committer" statement)
+
+let check_schema_kv_race (tr : Trace.trace) =
+  let batches =
+    List.filter_map (function Trace.Commit ws -> Some ws | Trace.Reopen -> None) tr.steps
+  in
+  let ncommitters = 4 in
+  let ops =
+    Array.init ncommitters (fun c ->
+        Array.of_list (race_ops c (List.filteri (fun i _ -> i mod ncommitters = c) batches)))
+  in
+  let all_ops = List.concat_map Array.to_list (Array.to_list ops) in
+  let db = Db.open_db ~with_inverted:true () in
+  let table = Schema.create db race_spec in
+  List.iter Domain.join
+    (List.init ncommitters (fun c ->
+         Domain.spawn (fun () -> Array.iteri (fun j op -> run_race_op db table (c, j) op) ops.(c))));
+  let ledger = Spitz.Auditor.ledger (Db.auditor db) in
+  let height = Db.L.height ledger in
+  if height <> List.length all_ops then
+    fail "schema/kv race: %d blocks for %d writes" height (List.length all_ops);
+  (* the committed order, each committer's ops in program order, replayed *)
+  let next = Array.make ncommitters 0 in
+  let serial = Db.open_db ~with_inverted:true () in
+  let serial_table = Schema.create serial race_spec in
+  for h = 0 to height - 1 do
+    match (Spitz_ledger.Journal.block (Db.L.journal ledger) h).Spitz_ledger.Block.statements with
+    | [ s ] ->
+      let c = race_committer s in
+      if c < 0 || c >= ncommitters || next.(c) >= Array.length ops.(c) then
+        fail "block %d: statement %S from no pending committer" h s;
+      run_race_op serial serial_table (c, next.(c)) ops.(c).(next.(c));
+      next.(c) <- next.(c) + 1
+    | ss -> fail "block %d carries %d statements, expected 1" h (List.length ss)
+  done;
+  if Db.digest serial <> Db.digest db then
+    fail "schema/kv race: digest differs from the serial replay of its committed order";
+  with_temp_file @@ fun tmp ->
+  Db.save db tmp;
+  let reloaded = Db.load tmp in
+  let reloaded_table = Schema.create reloaded race_spec in
+  let kv_keys, rows, cells =
+    List.fold_left
+      (fun (ks, rs, cs) -> function
+         | Kv ws -> (List.map (fun (Ledger.Put (k, _) | Ledger.Delete k) -> k) ws @ ks, rs, cs)
+         | Row (pk, row) -> (ks, pk :: rs, Option.value ~default:[] row @ cs))
+      ([], [], []) all_ops
+  in
+  List.iter
+    (fun key ->
+       List.iter
+         (fun d ->
+            if Db.get d key <> fst (Db.get_verified d key) then
+              fail "get %S = %s disagrees with the verified read" key (opt_str (Db.get d key)))
+         [ db; reloaded ];
+       if Db.history db key <> Db.history reloaded key then
+         fail "history of %S differs after reload" key)
+    (List.sort_uniq compare kv_keys);
+  (* scans cover the separator keys too, and the schema rows' cells *)
+  List.iter
+    (fun (lo, hi) ->
+       List.iter
+         (fun d ->
+            if Db.range d ~lo ~hi <> fst (Db.range_verified d ~lo ~hi) then
+              fail "range [%S, %S] disagrees with the verified range" lo hi)
+         [ db; reloaded ];
+       if Db.range db ~lo ~hi <> Db.range reloaded ~lo ~hi then
+         fail "range [%S, %S] differs after reload" lo hi)
+    (("", "\xff")
+     :: List.map (fun k -> (k, k ^ "\xff")) (List.sort_uniq compare kv_keys));
+  let rows = List.sort_uniq compare rows in
+  List.iter
+    (fun pk ->
+       for h = -1 to height - 1 do
+         let height = if h < 0 then None else Some h in
+         if Schema.get_row ?height table ~pk <> Schema.get_row ?height reloaded_table ~pk then
+           fail "row %s at height %d differs after reload" pk h
+       done)
+    rows;
+  List.iter
+    (fun (col, v) ->
+       let found = Schema.find_by_value table ~col v in
+       if found <> Schema.find_by_value reloaded_table ~col v then
+         fail "find_by_value %s = %s differs after reload" col (Json.to_string v);
+       let holding pk =
+         match Schema.get_row table ~pk with
+         | Some row -> List.assoc_opt col row = Some v
+         | None -> false
+       in
+       if found <> List.filter holding rows then
+         fail "find_by_value %s = %s disagrees with the rows" col (Json.to_string v))
+    (List.sort_uniq compare cells)
+
 let check_digest_stability (tr : Trace.trace) =
   with_temp_file @@ fun tmp ->
   let first = replay_digest tr in

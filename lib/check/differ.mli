@@ -81,6 +81,17 @@ val check_concurrent_clients : Trace.trace -> unit
     late-arriving session pins exactly the settled digest; and that the
     chain audit passes. *)
 
+val check_schema_kv_race : Trace.trace -> unit
+(** One write path for every API: two domains commit the trace's batches as
+    KV blocks (some keys carrying the [0x1f] column separator) while two
+    more turn each write into a schema row insert or delete. Asserts no
+    committer raises; that the committed order recovered from the blocks'
+    statements, replayed serially, reproduces the digest; and that after a
+    save/load every [Db.get]/[Db.history] (each equal to its verified read),
+    every [Schema.get_row] at the head and at every height, and every
+    [Schema.find_by_value] (equal to a filter of the rows) answer exactly as
+    the live database does. *)
+
 val check_digest_stability : Trace.trace -> unit
 (** The digest is a pure function of the committed history: replaying the
     same trace twice — and through a save/load round-trip — yields identical

@@ -1,8 +1,8 @@
 open Spitz_ledger
 
 (* The auditor (paper section 5, control layer): the component through which
-   every data change reaches the ledger, and through which every proof comes
-   back. Wraps the SIRI-backed ledger; one auditor per processor node. *)
+   every proof comes back. Wraps the SIRI-backed ledger; one auditor per
+   processor node. Data changes reach the ledger through [Db.commit] alone. *)
 
 module L = Ledger.Default
 
@@ -17,15 +17,6 @@ let ledger t = t.ledger
 let height t = L.height t.ledger
 let digest t = L.digest t.ledger
 
-(* Record a batch of changes as one ledger block; returns its height. *)
-let record t ?statements writes = L.commit t.ledger ?statements writes
-
-(* Split commit for the concurrent front-end: [prepare] (value hashing,
-   lock-free, any number of callers) then [record_prepared] (the serial
-   section — caller must hold the commit lock). *)
-let prepare t ?statements writes = L.prepare t.ledger ?statements writes
-let record_prepared t prepared = L.commit_prepared t.ledger prepared
-
 (* Proof retrieval for the read path (section 5.1, read step 3). *)
 let get_with_proof t key = L.get_with_proof t.ledger key
 let get_batch_with_proof t keys = L.get_batch_with_proof t.ledger keys
@@ -36,17 +27,12 @@ let receipts t ~height = L.write_receipts t.ledger ~height
 
 let consistency t ~old_size = Journal.prove_consistency (L.journal t.ledger) ~old_size
 
-let history t key = L.history t.ledger key
-
-(* One multiproof covers a whole block's entries instead of entry_count
-   separate receipt checks. *)
-let audit_batch t ~height = L.audit_block t.ledger ~height
-
 (* Full audit: every chain link, plus every block's entries re-verified
-   against its header through one multiproof per block. *)
+   against its header through one multiproof per block (instead of
+   entry_count separate receipt checks). *)
 let audit t =
   L.audit t.ledger
   &&
   let n = L.height t.ledger in
-  let rec go h = h >= n || (audit_batch t ~height:h && go (h + 1)) in
+  let rec go h = h >= n || (L.audit_block t.ledger ~height:h && go (h + 1)) in
   go 0

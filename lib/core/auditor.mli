@@ -1,5 +1,6 @@
 (** The auditor of a processor node (paper section 5): the component through
-    which every data change reaches the ledger and every proof comes back. *)
+    which every proof comes back. Data changes reach the ledger through
+    {!Db.commit} alone. *)
 
 open Spitz_ledger
 
@@ -17,16 +18,6 @@ val ledger : t -> L.t
 val height : t -> int
 val digest : t -> Journal.digest
 
-val record : t -> ?statements:string list -> Ledger.write list -> int
-(** Commit a batch of changes as one ledger block; returns its height. *)
-
-val prepare : t -> ?statements:string list -> Ledger.write list -> L.prepared
-val record_prepared : t -> L.prepared -> int
-(** {!record} split for concurrent committers: [prepare] hashes the batch's
-    values (pure, callable from any domain without a lock); [record_prepared]
-    is the serial section — calls must be externally serialized, and the
-    resulting chain is bit-identical to serial {!record}s in that order. *)
-
 val get_with_proof : t -> string -> string option * L.read_proof option
 val get_batch_with_proof :
   t -> string list -> string option list * L.batch_read_proof option
@@ -41,13 +32,7 @@ val receipts : t -> height:int -> L.write_receipt list
 
 val consistency : t -> old_size:int -> Spitz_adt.Merkle.consistency_proof
 
-val history : t -> string -> (int * string option) list
-
-val audit_batch : t -> height:int -> bool
-(** Audit one block by passing all its entries through a single Merkle
-    multiproof against the header's entries root, anchored in the journal by
-    one inclusion proof — instead of [entry_count] separate receipt checks. *)
-
 val audit : t -> bool
-(** Full audit: every chain link intact, and every block passes
-    {!audit_batch}. *)
+(** Full audit: every chain link intact, and every block's entries verified
+    against its header through one Merkle multiproof, anchored in the
+    journal by one inclusion proof. *)

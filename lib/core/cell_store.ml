@@ -12,24 +12,15 @@ type t = {
   (* encoded universal key -> storage address of the value. For values small
      enough to store raw this equals the universal key's value hash; chunked
      blobs live under their descriptor address. *)
-  mutable clock : int;
 }
 
 let create ?store () =
   let store = match store with Some s -> s | None -> Object_store.create () in
-  { store; index = Spitz_index.Bptree.create (); clock = 0 }
+  { store; index = Spitz_index.Bptree.create () }
 
-let store t = t.store
-
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
-
-let write_cell t ~column ~pk ?ts value =
-  let ts = match ts with Some ts -> ts | None -> tick t in
-  let vhash = Hash.of_string value in
-  let ukey = Universal_key.make ~column ~pk ~ts ~vhash in
-  let addr = Object_store.put_blob t.store value in
+let write_cell t ~column ~pk ~ts (value : Object_store.value) =
+  let ukey = Universal_key.make ~column ~pk ~ts ~vhash:value.hash in
+  let addr = Object_store.put_value t.store value in
   Spitz_index.Bptree.insert t.index (Universal_key.encode ukey) addr;
   ukey
 
@@ -37,27 +28,9 @@ let write_cell t ~column ~pk ?ts value =
    address is [Hash.null]. Read paths below treat it as absence, so older
    versions stay reachable by timestamp while the latest state drops the
    cell. *)
-let delete_cell t ~column ~pk ?ts () =
-  let ts = match ts with Some ts -> ts | None -> tick t in
+let delete_cell t ~column ~pk ~ts =
   let ukey = Universal_key.make ~column ~pk ~ts ~vhash:Hash.null in
-  Spitz_index.Bptree.insert t.index (Universal_key.encode ukey) Hash.null;
-  ukey
-
-(* Newest cell version at or below [ts] ([max_int] = latest). *)
-let read_cell ?(ts = max_int) t ~column ~pk =
-  let lo, hi = Universal_key.cell_bounds ~column ~pk in
-  let best =
-    Spitz_index.Bptree.fold_range t.index ~lo ~hi
-      (fun ekey vhash acc ->
-         match Universal_key.decode ekey with
-         | Some uk when uk.Universal_key.ts <= ts -> Some (uk, vhash)
-         | _ -> acc)
-      None
-  in
-  match best with
-  | Some (uk, vhash) when not (Hash.is_null vhash) ->
-    Some (uk, Object_store.get_blob_exn t.store vhash)
-  | _ -> None
+  Spitz_index.Bptree.insert t.index (Universal_key.encode ukey) Hash.null
 
 (* Hot path for point reads: the prefix scan is in timestamp order, so the
    newest qualifying version is the last one visited; no key decoding. *)
@@ -90,27 +63,6 @@ let versions t ~column ~pk =
             (uk, Object_store.get_blob_exn t.store vhash) :: acc
           | _ -> acc)
        [])
-
-(* Latest version of each cell of [column] with pk in [pk_lo, pk_hi]. *)
-let range_latest t ~column ~pk_lo ~pk_hi =
-  let lo, hi = Universal_key.column_bounds ~column ~pk_lo ~pk_hi in
-  let out = ref [] in
-  (* the scan is in (pk, ts) order: the last version of each pk wins *)
-  Spitz_index.Bptree.fold_range t.index ~lo ~hi
-    (fun ekey vhash () ->
-       match Universal_key.decode ekey with
-       | Some uk ->
-         (match !out with
-          | (prev, _) :: rest when String.equal prev.Universal_key.pk uk.Universal_key.pk ->
-            out := (uk, vhash) :: rest
-          | _ -> out := (uk, vhash) :: !out)
-       | None -> ())
-    ();
-  List.filter_map
-    (fun (uk, vhash) ->
-       if Hash.is_null vhash then None
-       else Some (uk, Object_store.get_blob_exn t.store vhash))
-    (List.rev !out)
 
 (* Hot path for range scans: pk extracted positionally, last version of each
    pk wins, values fetched once per pk. *)

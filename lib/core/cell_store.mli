@@ -8,36 +8,25 @@ type t
 
 val create : ?store:Object_store.t -> unit -> t
 
-val store : t -> Object_store.t
-
-val tick : t -> int
-(** Advance and return the store's logical clock (used when the caller does
-    not supply timestamps). *)
-
-val write_cell : t -> column:string -> pk:string -> ?ts:int -> string -> Universal_key.t
+val write_cell :
+  t -> column:string -> pk:string -> ts:int -> Object_store.value -> Universal_key.t
 (** Append one immutable cell version; the value is content-addressed into
-    the object store. *)
+    the object store under the hash it already carries. *)
 
-val delete_cell : t -> column:string -> pk:string -> ?ts:int -> unit -> Universal_key.t
+val delete_cell : t -> column:string -> pk:string -> ts:int -> unit
 (** Append a tombstone version: the cell reads as absent from this timestamp
     on, while older versions stay reachable by [ts]. *)
 
-val read_cell : ?ts:int -> t -> column:string -> pk:string -> (Universal_key.t * string) option
-(** Newest version at or below [ts] (default: latest), with its key. Absent
-    includes "newest version is a tombstone". *)
-
 val read_value : ?ts:int -> t -> column:string -> pk:string -> string option
-(** Hot path: like {!read_cell} but without decoding the universal key. *)
+(** Newest value at or below [ts] (default: latest); absent includes "newest
+    version is a tombstone". *)
 
 val versions : t -> column:string -> pk:string -> (Universal_key.t * string) list
 (** Every version of one cell, oldest first. *)
 
-val range_latest : t -> column:string -> pk_lo:string -> pk_hi:string -> (Universal_key.t * string) list
-(** Latest version of each cell of [column] with pk in the range. *)
-
 val range_latest_values : t -> column:string -> pk_lo:string -> pk_hi:string -> (string * string) list
-(** Hot path: like {!range_latest} but yielding (pk, value) without full key
-    decoding. *)
+(** Latest value of each cell of [column] with pk in the range, as (pk,
+    value), in pk order. *)
 
 val cell_count : t -> int
 (** Total stored cell versions. *)

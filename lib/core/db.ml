@@ -14,6 +14,14 @@ open Spitz_ledger
 module L = Ledger.Default
 module V = Verifier.Default
 
+(* A durable database's write-ahead log, as [commit] sees it: the log
+   itself, and the store objects added since the last record (newest first),
+   captured by the store observer. *)
+type log = {
+  wal : Wal.t;
+  mutable captured : string list;
+}
+
 type t = {
   store : Object_store.t;
   cells : Cell_store.t;
@@ -24,106 +32,146 @@ type t = {
   (* serializes the ledger/cell-store mutation section of [commit]; value
      hashing before it and the WAL durability wait after it run outside the
      lock, so concurrent committers overlap CPU and I/O *)
-  mutable wal_ack : (unit -> unit) option;
-  (* stashed by the on-commit hook (under [commit_lock]): blocks until the
-     WAL record of the block just committed is durable. [commit] takes it
-     and runs it after releasing the lock. *)
+  mutable log : log option;      (* set while a durable handle is open *)
 }
 
-let open_db ?store ?pool ?(column = "v") ?(with_inverted = false) () =
-  let store = match store with Some s -> s | None -> Object_store.create () in
+let create ~store ~auditor ~column ~with_inverted =
   {
     store;
     cells = Cell_store.create ~store ();
-    auditor = Auditor.create ?pool store;
+    auditor;
     column;
     inverted = (if with_inverted then Some (Spitz_index.Inverted.create ()) else None);
     commit_lock = Mutex.create ();
-    wal_ack = None;
+    log = None;
   }
+
+let open_db ?store ?pool ?(column = "v") ?(with_inverted = false) () =
+  let store = match store with Some s -> s | None -> Object_store.create () in
+  create ~store ~auditor:(Auditor.create ?pool store) ~column ~with_inverted
 
 let store t = t.store
 let auditor t = t.auditor
 let cells t = t.cells
 let inverted_index t = t.inverted
-let default_column t = t.column
 
 let cell_count t = Cell_store.cell_count t.cells
 (* total cell versions, not distinct keys *)
 
+let ledger t = Auditor.ledger t.auditor
+
+let with_commit_lock t f =
+  Mutex.lock t.commit_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.commit_lock) f
+
 (* --- Writes --- *)
 
-(* One block is one state transition: when a batch writes the same key more
+(* A write-ahead log record: one committed block's height, the content
+   address of its encoded body, and the store objects it added. *)
+let encode_wal_record ~height ~body objects =
+  let buf = Wire.writer () in
+  Wire.write_varint buf height;
+  Wire.write_hash buf body;
+  Wire.write_list buf Wire.write_string objects;
+  Wire.contents buf
+
+(* The cell a ledger key names. [apply] writes by this rule and every read
+   resolves by it, so the cell-store reads agree with the verified reads for
+   every key. *)
+let cell_of t key = Universal_key.split ~default:t.column key
+
+(* What one write of a block leaves in the cell store. [Lost] is a put whose
+   value recovery cannot find (its index instance and raw blob were both
+   compacted away): that version is skipped. *)
+type cell = Value of Object_store.value | Tombstone | Lost
+
+(* The cell store and the inverted index are a function of the journal, and
+   this is the function: the one apply that both [commit] and recovery run
+   over a block's writes, given as (ledger key, w) in batch order with
+   [cell] resolving [w].
+
+   One block is one state transition: when a batch writes the same key more
    than once, the block's final state for that key is the last write (the
    ledger index folds the batch in order). Only that write may land in the
    cell store — the universal-key encoding orders same-timestamp versions by
    value hash, not write order, so asking it to break the tie reads back an
-   arbitrary write of the batch. *)
-let last_write_per_key writes =
+   arbitrary write of the batch. Every stored value is indexed, as its bytes,
+   when the database keeps an inverted index. *)
+let apply t ~height writes ~cell =
   let seen = Hashtbl.create 16 in
-  List.rev
-    (List.fold_left
-       (fun acc w ->
-          let key = match w with Ledger.Put (k, _) | Ledger.Delete k -> k in
-          if Hashtbl.mem seen key then acc
-          else begin
-            Hashtbl.add seen key ();
-            w :: acc
-          end)
-       [] (List.rev writes))
-
-let apply_cells t height writes =
+  let last =
+    List.fold_left
+      (fun acc ((key, _) as w) ->
+         if Hashtbl.mem seen key then acc
+         else begin
+           Hashtbl.add seen key ();
+           w :: acc
+         end)
+      [] (List.rev writes)
+  in
   List.iter
-    (fun w ->
-       match w with
-       | Ledger.Put (key, value) ->
-         let ukey = Cell_store.write_cell t.cells ~column:t.column ~pk:key ~ts:height value in
-         (match t.inverted with
-          | None -> ()
-          | Some inv ->
-            Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str value)
-              (Universal_key.encode ukey))
-       | Ledger.Delete key -> ignore (Cell_store.delete_cell t.cells ~column:t.column ~pk:key ~ts:height ()))
-    (last_write_per_key writes)
+    (fun (key, w) ->
+       let column, pk = cell_of t key in
+       match cell w with
+       | Lost -> ()
+       | Tombstone -> Cell_store.delete_cell t.cells ~column ~pk ~ts:height
+       | Value v ->
+         let ukey = Cell_store.write_cell t.cells ~column ~pk ~ts:height v in
+         Option.iter
+           (fun inv ->
+              Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str v.Object_store.bytes)
+                (Universal_key.encode ukey))
+           t.inverted)
+    last
 
-(* The general write path: one batch of puts and deletes, one ledger block.
-   Deletes land as tombstones in both the ledger index and the cell store,
-   so the verifiable surface and the query surface agree on absence.
+let live_cell = function Some v -> Value v | None -> Tombstone
+
+(* One log record per block, submitted in the serial section so records land
+   in height order: block N's record carries exactly the objects block N
+   added — index nodes, the encoded block, cell values. *)
+let submit_log t log ~height =
+  Fault.hit "commit.before_wal";
+  let objects = List.rev log.captured in
+  log.captured <- [];
+  let body = Journal.body_hash (L.journal (ledger t)) height in
+  let ticket = Wal.submit log.wal (encode_wal_record ~height ~body objects) in
+  Fault.hit "commit.after_submit";
+  (log.wal, ticket)
+
+(* The one write path: every mutation of a database — KV puts and deletes,
+   schema rows, the SQL catalog — is one batch committed here as one ledger
+   block. Deletes land as tombstones in both the ledger index and the cell
+   store, so the verifiable surface and the query surface agree on absence.
 
    Thread-safe: any number of domains may commit concurrently. The pipeline
-   has three stages per commit — (1) value hashing ([Auditor.prepare]),
-   pure and lock-free, so it overlaps with anything, including the WAL
-   write of an earlier commit; (2) the serial section under [commit_lock]:
-   txn-id assignment, SIRI index update, block assembly, journal append,
-   cell-store apply, and (when a WAL is attached) a non-blocking
-   [Wal.submit]; (3) the durability wait, after the lock is released —
-   committer B enters its serial section while committer A is still
-   fsyncing, and A's WAL leader coalesces every record submitted meanwhile.
-   Blocks enter the ledger in the order the lock is acquired, so digests,
-   proofs and audits are byte-identical to that serial order. *)
+   has three stages per commit — (1) value hashing ([L.prepare]), pure and
+   lock-free, so it overlaps with anything, including the WAL write of an
+   earlier commit; (2) the serial section under [commit_lock]: txn-id
+   assignment, SIRI index update, block assembly, journal append, cell-store
+   apply, and (when a WAL is attached) a non-blocking [Wal.submit]; (3) the
+   durability wait, after the lock is released — committer B enters its
+   serial section while committer A is still fsyncing, and A's WAL leader
+   coalesces every record submitted meanwhile. Blocks enter the ledger in
+   the order the lock is acquired, so digests, proofs and audits are
+   byte-identical to that serial order. *)
 let commit t ?statements writes =
-  let prepared = Auditor.prepare t.auditor ?statements writes in
-  Mutex.lock t.commit_lock;
-  let height, ack =
-    match
-      let height = Auditor.record_prepared t.auditor prepared in
-      apply_cells t height writes;
-      let ack = t.wal_ack in
-      t.wal_ack <- None;
-      (height, ack)
-    with
-    | result ->
-      Mutex.unlock t.commit_lock;
-      result
-    | exception e ->
-      Mutex.unlock t.commit_lock;
-      raise e
+  (* a key the cell store cannot encode must fail before the ledger moves *)
+  List.iter
+    (fun (Ledger.Put (key, _) | Ledger.Delete key) ->
+       if String.contains key '\000' then invalid_arg "Db.commit: key contains NUL")
+    writes;
+  let prepared = L.prepare (ledger t) ?statements writes in
+  let height, pending =
+    with_commit_lock t (fun () ->
+        let height = L.commit_prepared (ledger t) prepared in
+        apply t ~height (L.prepared_values prepared) ~cell:live_cell;
+        (height, Option.map (submit_log t ~height) t.log))
   in
-  (match ack with
-   | None -> ()
-   | Some wait_durable ->
-     wait_durable ();
-     Fault.hit "commit.acked");
+  Option.iter
+    (fun (wal, ticket) ->
+       Wal.wait wal ticket;
+       Fault.hit "commit.acked")
+    pending;
   height
 
 let put_batch t ?statements kvs =
@@ -141,9 +189,13 @@ let put_verified t key value =
 
 (* --- Reads --- *)
 
-let get t key = Cell_store.read_value t.cells ~column:t.column ~pk:key
+let get t key =
+  let column, pk = cell_of t key in
+  Cell_store.read_value t.cells ~column ~pk
 
-let get_at t ~height key = Cell_store.read_value ~ts:height t.cells ~column:t.column ~pk:key
+let get_at t ~height key =
+  let column, pk = cell_of t key in
+  Cell_store.read_value ~ts:height t.cells ~column ~pk
 
 let get_verified t key =
   (* unified index: value and proof from one ledger traversal *)
@@ -153,14 +205,15 @@ let get_batch_verified t keys =
   (* one traversal, one proof for the whole key set *)
   Auditor.get_batch_with_proof t.auditor keys
 
-let range t ~lo ~hi = Cell_store.range_latest_values t.cells ~column:t.column ~pk_lo:lo ~pk_hi:hi
+(* from the head's index, like [range_verified]: every ledger key in range,
+   whatever column [Universal_key.split] files it under *)
+let range t ~lo ~hi = L.range (ledger t) ~lo ~hi
 
 let range_verified t ~lo ~hi = Auditor.range_with_proof t.auditor ~lo ~hi
 
 let history t key =
-  List.map
-    (fun (uk, v) -> (uk.Universal_key.ts, v))
-    (Cell_store.versions t.cells ~column:t.column ~pk:key)
+  let column, pk = cell_of t key in
+  List.map (fun (uk, v) -> (uk.Universal_key.ts, v)) (Cell_store.versions t.cells ~column ~pk)
 
 let search_value t value =
   match t.inverted with
@@ -189,14 +242,11 @@ let snapshot ?height t =
     { snap = ls; snap_store = t.store; snap_gen = Object_store.generation t.store }
   in
   match height with
-  | None -> Option.map pin (L.snapshot (Auditor.ledger t.auditor))
+  | None -> Option.map pin (L.snapshot (ledger t))
   | Some height ->
     (* pinning an older block walks the journal's mutable tree — serialize
        against commits; the returned snapshot is then lock-free to read *)
-    Mutex.lock t.commit_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.commit_lock)
-      (fun () -> Some (pin (L.snapshot_at (Auditor.ledger t.auditor) ~height)))
+    with_commit_lock t (fun () -> Some (pin (L.snapshot_at (ledger t) ~height)))
 
 module Snapshot = struct
   let height s = L.snapshot_height s.snap
@@ -255,7 +305,15 @@ let reset_proof_cache_stats () = L.reset_proof_cache_stats ()
 
 let digest t = Auditor.digest t.auditor
 
-let consistency t ~old_size = Auditor.consistency t.auditor ~old_size
+(* The journal is appended before the new head is published, and its
+   Merkle tree is mutable: a proof computed beside a commit could reach a
+   size no reader has seen yet, or walk a half-updated tree. Under the commit
+   lock the journal and the head agree, so the digest and the proof below
+   always describe the same published head. *)
+let anchor t ~old_size =
+  with_commit_lock t (fun () -> (digest t, Auditor.consistency t.auditor ~old_size))
+
+let consistency t ~old_size = snd (anchor t ~old_size)
 
 let verify_read ~digest ~key ~value proof = L.verify_read ~digest ~key ~value proof
 let verify_batch_read ~digest ~items proof = L.verify_batch_read ~digest ~items proof
@@ -339,68 +397,27 @@ let save t path = save_with_bodies t (L.body_hashes (Auditor.ledger t.auditor)) 
    then replay the journal into the cell store and inverted index. *)
 let rebuild ?pool ~store ~column ~with_inverted bodies =
   let ledger = L.restore ?pool store bodies in
-  let t =
-    {
-      store;
-      cells = Cell_store.create ~store ();
-      auditor = Auditor.of_ledger ledger;
-      column;
-      inverted = (if with_inverted then Some (Spitz_index.Inverted.create ()) else None);
-      commit_lock = Mutex.create ();
-      wal_ack = None;
-    }
-  in
+  let t = create ~store ~auditor:(Auditor.of_ledger ledger) ~column ~with_inverted in
   let journal = L.journal ledger in
-  (* replay mirrors the live write path: only the last write of a key within
-     a block is that block's state transition for it *)
-  let last_entry_per_key entries =
-    let seen = Hashtbl.create 16 in
-    List.rev
-      (List.fold_left
-         (fun acc (e : Spitz_ledger.Block.entry) ->
-            if Hashtbl.mem seen e.Spitz_ledger.Block.key then acc
-            else begin
-              Hashtbl.add seen e.Spitz_ledger.Block.key ();
-              e :: acc
-            end)
-         [] (List.rev entries))
-  in
-  for height = 0 to Spitz_ledger.Journal.length journal - 1 do
-    let block = Spitz_ledger.Journal.block journal height in
-    List.iter
-      (fun (e : Spitz_ledger.Block.entry) ->
-         (* schema-layer keys carry their column; KV keys use the
-            database's default column *)
-         let split_column key =
-           match String.index_opt key '\x1f' with
-           | Some i -> (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
-           | None -> (t.column, key)
-         in
-         match e.Spitz_ledger.Block.op with
-         | Spitz_ledger.Block.Delete ->
-           let column, pk = split_column e.Spitz_ledger.Block.key in
-           ignore (Cell_store.delete_cell t.cells ~column ~pk ~ts:height ())
-         | Spitz_ledger.Block.Insert | Spitz_ledger.Block.Update ->
-           let value =
-             (* normally from the index instance of that block; if that
-                instance was compacted away, recover small raw values by
-                their content address, else the version is gone *)
-             match L.get_at ledger ~height e.Spitz_ledger.Block.key with
-             | v -> v
-             | exception Not_found ->
-               Object_store.get store e.Spitz_ledger.Block.value_hash
-           in
-           (match value with
-            | None -> ()
-            | Some value ->
-              let column, pk = split_column e.Spitz_ledger.Block.key in
-              let ukey = Cell_store.write_cell t.cells ~column ~pk ~ts:height value in
-              (match t.inverted with
-               | Some inv when String.equal column t.column ->
-                 Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str value)
-                   (Universal_key.encode ukey)
-               | _ -> ())))
-      (last_entry_per_key block.Spitz_ledger.Block.entries)
+  for height = 0 to Journal.length journal - 1 do
+    (* a put's value comes from the index instance of its block; if that
+       instance was compacted away, small raw values are still found by
+       their content address *)
+    let cell (e : Block.entry) =
+      match e.op with
+      | Block.Delete -> Tombstone
+      | Block.Insert | Block.Update ->
+        (match
+           match L.get_at ledger ~height e.key with
+           | v -> v
+           | exception Not_found -> Object_store.get store e.value_hash
+         with
+         | Some v -> Value (Object_store.value v)
+         | None -> Lost)
+    in
+    apply t ~height
+      (List.map (fun (e : Block.entry) -> (e.key, e)) (Journal.block journal height).entries)
+      ~cell
   done;
   t
 
@@ -467,9 +484,8 @@ type checkpoint_stats = {
 
 type durable = {
   db : t;
-  wal : Wal.t;
   dir : string;
-  captured : string list ref; (* new store objects since the last log record, newest first *)
+  log : log;
   mutable closed : bool;
   (* checkpointing: [ckpt_lock] serializes checkpoint runs (manual callers
      against the background thread); the counters are atomics so
@@ -521,13 +537,6 @@ let read_meta dir =
            let with_inverted = Wire.read_byte r = '\001' in
            (column, with_inverted)))
 
-let encode_wal_record ~height ~body objects =
-  let buf = Wire.writer () in
-  Wire.write_varint buf height;
-  Wire.write_hash buf body;
-  Wire.write_list buf Wire.write_string objects;
-  Wire.contents buf
-
 let decode_wal_record data =
   let r = Wire.reader data in
   let height = Wire.read_varint r in
@@ -537,32 +546,18 @@ let decode_wal_record data =
   (height, body, objects)
 
 let durable_db d = d.db
-let wal_size d = Wal.size d.wal
-let wal_stats d = Wal.stats d.wal
+let wal_size d = Wal.size d.log.wal
+let wal_stats d = Wal.stats d.log.wal
 
 let check_open d op = if d.closed then invalid_arg ("Db." ^ op ^ ": durable handle is closed")
 
 (* Wire the log into the commit path: the store observer captures every new
-   object; the ledger's commit hook drains the capture buffer into one log
-   record per committed block. The hook runs inside [commit]'s serial
-   section, so it only *submits* the record (non-blocking under the
-   group-commit policies) and stashes the durability wait in [wal_ack];
-   [commit] runs the wait after releasing the lock. Submissions therefore
-   happen under the commit lock in block order — WAL records land in the
-   file in height order even with many concurrent committers. *)
-let attach_wal db wal captured =
-  Object_store.set_observer db.store
-    (Some (fun _h data -> captured := data :: !captured));
-  L.set_on_commit
-    (Auditor.ledger db.auditor)
-    (Some
-       (fun ~height ~body _block ->
-          Fault.hit "commit.before_wal";
-          let objects = List.rev !captured in
-          captured := [];
-          let ticket = Wal.submit wal (encode_wal_record ~height ~body objects) in
-          Fault.hit "commit.after_submit";
-          db.wal_ack <- Some (fun () -> Wal.wait wal ticket)))
+   object, and [commit] drains the capture into one log record per block. *)
+let attach_wal db wal =
+  let log = { wal; captured = [] } in
+  Object_store.set_observer db.store (Some (fun _h data -> log.captured <- data :: log.captured));
+  db.log <- Some log;
+  log
 
 let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
     ?(with_inverted = false) dir =
@@ -640,13 +635,10 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
   if not (L.audit (Auditor.ledger db.auditor)) then
     raise (Corrupt "Db.open_durable: journal hash chain does not verify");
   let wal = Wal.open_log ~sync (wal_file dir) in
-  let captured = ref [] in
-  attach_wal db wal captured;
   {
     db;
-    wal;
     dir;
-    captured;
+    log = attach_wal db wal;
     closed = false;
     ckpt_lock = Mutex.create ();
     ckpt_policy = Manual;
@@ -678,25 +670,22 @@ let open_durable ?(sync = Wal.Always) ?(repair = true) ?pool ?(column = "v")
 let checkpoint_locked ?(auto = false) d =
   match
     let bodies =
-      Mutex.lock d.db.commit_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock d.db.commit_lock)
-        (fun () ->
+      with_commit_lock d.db (fun () ->
            Fault.hit "checkpoint.begin";
            let bodies = L.body_hashes (Auditor.ledger d.db.auditor) in
-           ignore (Wal.rotate d.wal);
-           Atomic.set d.ckpt_base_records (Wal.stats d.wal).Wal.records;
-           (* every object captured so far is covered by the pinned bodies
-              (captures happen in the commit serial section, under this
-              same lock, and are drained into the WAL record per commit) *)
-           d.captured := [];
+           ignore (Wal.rotate d.log.wal);
+           Atomic.set d.ckpt_base_records (Wal.stats d.log.wal).Wal.records;
+           (* commits drain the capture under this same lock; anything left
+              belongs to a commit that failed before logging, and the pinned
+              bodies cover it *)
+           d.log.captured <- [];
            bodies)
     in
     save_with_bodies d.db bodies (snapshot_file d.dir);
     Fault.hit "checkpoint.save_done";
     Wal.fsync_dir d.dir;
     Fault.hit "checkpoint.after_rename";
-    Wal.retire d.wal
+    Wal.retire d.log.wal
   with
   | retired ->
     Atomic.incr d.ckpt_n;
@@ -728,9 +717,9 @@ let checkpoint_stats d =
 let checkpoint_due d =
   match d.ckpt_policy with
   | Manual -> false
-  | Every_n_bytes n -> Wal.size d.wal >= max 1 n
+  | Every_n_bytes n -> Wal.size d.log.wal >= max 1 n
   | Every_n_records n ->
-    (Wal.stats d.wal).Wal.records - Atomic.get d.ckpt_base_records >= max 1 n
+    (Wal.stats d.log.wal).Wal.records - Atomic.get d.ckpt_base_records >= max 1 n
 
 (* The background checkpointer is a domain, not a systhread: a systhread
    would contend for the runtime lock with committer threads for the whole
@@ -784,20 +773,22 @@ let set_checkpoint_policy d policy =
 
 let sync_durable d =
   check_open d "sync_durable";
-  Wal.sync d.wal
+  Wal.sync d.log.wal
 
 let close_durable d =
   if not d.closed then begin
     (* stop the background checkpointer before tearing anything down: it
        may be mid-checkpoint, and joining it is the only safe ordering *)
     stop_checkpointer d;
-    Object_store.set_observer d.db.store None;
-    L.set_on_commit (Auditor.ledger d.db.auditor) None;
+    (* under the lock, so no commit logs a record with half its objects *)
+    with_commit_lock d.db (fun () ->
+        d.db.log <- None;
+        Object_store.set_observer d.db.store None);
     d.closed <- true;
     (* last: drain + fsync + close the log, *surfacing* failures — a close
        that could not flush the pending group-commit batch must not look
        clean, or acknowledged records silently evaporate. [Wal.close]
-       closes the descriptor even when the drain raises, and the hooks are
+       closes the descriptor even when the drain raises, and the log is
        already detached, so the handle is fully shut either way. *)
-    Wal.close d.wal
+    Wal.close d.log.wal
   end

@@ -23,16 +23,15 @@ val open_db :
   ?store:Object_store.t -> ?pool:Spitz_exec.Pool.t -> ?column:string ->
   ?with_inverted:bool -> unit -> t
 (** A fresh database. [column] names the cell-store column of the KV surface
-    (default ["v"]); [with_inverted] enables the inverted value index. With
-    [pool], commit batches hash their value payloads and block entry leaves
-    on the pool (index updates stay serial, so digests and proofs are
-    bit-identical at any pool size). *)
+    (default ["v"]); [with_inverted] enables the inverted value index over
+    every cell. With [pool], commit batches hash their value payloads and
+    block entry leaves on the pool (index updates stay serial, so digests
+    and proofs are bit-identical at any pool size). *)
 
 val store : t -> Object_store.t
 val auditor : t -> Auditor.t
 val cells : t -> Cell_store.t
 val inverted_index : t -> Spitz_index.Inverted.t option
-val default_column : t -> string
 
 val cell_count : t -> int
 (** Total cell versions stored (not distinct keys). *)
@@ -40,13 +39,18 @@ val cell_count : t -> int
 (** {1 Writes} *)
 
 val commit : t -> ?statements:string list -> Ledger.write list -> int
-(** The general write path: one batch of puts and deletes as one ledger
-    block. Deletes land as tombstones in both the ledger index and the cell
-    store, so the verifiable surface and the query surface agree on
-    absence.
+(** The one write path: one batch of puts and deletes as one ledger block.
+    Every mutation funnels here — {!put}, {!put_batch}, {!delete}, schema
+    rows and the SQL catalog — so each is serialized, logged and (on a
+    durable database) acknowledged only once durable. Deletes land as
+    tombstones in both the ledger index and the cell store, so the
+    verifiable surface and the query surface agree on absence.
 
-    Thread-safe: any number of domains may commit concurrently (this covers
-    every write path — {!put}, {!put_batch}, {!delete} all funnel here).
+    A key names a cell by {!Universal_key.split}: [column ^ "\x1f" ^ pk]
+    is cell ([column], [pk]); any other key is a pk of the default column.
+    Raises [Invalid_argument], committing nothing, if a key contains NUL.
+
+    Thread-safe: any number of domains may commit concurrently.
     Value hashing runs before the internal commit lock, the WAL durability
     wait (durable databases) runs after it, so committers overlap hashing
     and fsync I/O while blocks still enter the ledger one at a time —
@@ -74,7 +78,8 @@ val put_verified : t -> string -> string -> int * L.write_receipt
 (** {1 Reads} *)
 
 val get : t -> string -> string option
-(** Latest committed value. *)
+(** Latest committed value — for every key, the value {!get_verified}
+    proves. *)
 
 val get_at : t -> height:int -> string -> string option
 (** The value as of a given ledger block (historical snapshot). *)
@@ -91,7 +96,8 @@ val get_batch_verified :
     proofs. *)
 
 val range : t -> lo:string -> hi:string -> (string * string) list
-(** Latest values for keys in [lo..hi], in key order. *)
+(** Latest values for keys in [lo..hi], in key order: the entries of
+    {!range_verified}, without the proof. *)
 
 val range_verified :
   t -> lo:string -> hi:string -> (string * string) list * L.read_proof option
@@ -166,8 +172,9 @@ module Snapshot : sig
 end
 
 val search_value : t -> string -> Universal_key.t list
-(** Inverted-index lookup: cells currently or historically holding exactly
-    this value (requires [with_inverted]). *)
+(** Inverted-index lookup: cells of any column currently or historically
+    holding exactly these bytes (requires [with_inverted], which indexes
+    every stored cell). *)
 
 (** {1 Verification surface (client side)} *)
 
@@ -175,7 +182,14 @@ val digest : t -> Journal.digest
 (** What a verifying client pins: 32 bytes plus a block count. *)
 
 val consistency : t -> old_size:int -> Spitz_adt.Merkle.consistency_proof
-(** Proof that the current digest extends the journal of [old_size] blocks. *)
+(** Proof that the current digest extends the journal of [old_size] blocks.
+    Taken under the commit lock, so the proof's size is always that of a
+    published head. *)
+
+val anchor : t -> old_size:int -> Journal.digest * Spitz_adt.Merkle.consistency_proof
+(** The current digest together with the proof that it extends the journal
+    of [old_size] blocks, read under one hold of the commit lock — the pair
+    always verifies, however many commits race it. *)
 
 val verify_read :
   digest:Journal.digest -> key:string -> value:string option -> L.read_proof -> bool
@@ -325,8 +339,8 @@ val wal_stats : durable -> Spitz_storage.Wal.stats
     segments/disk/pending byte figures. *)
 
 val close_durable : durable -> unit
-(** Stop the background checkpointer (if any), detach the commit hooks,
-    then drain, fsync and close the log. Idempotent. I/O errors from the
+(** Stop the background checkpointer (if any), detach the log from the
+    commit path, then drain, fsync and close the log. Idempotent. I/O errors from the
     final drain/fsync propagate — a close that could not make acknowledged
     records durable does not look clean (the descriptor and hooks are
     released regardless). The inner {!t} remains usable in memory but no

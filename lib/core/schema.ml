@@ -3,8 +3,8 @@ open Spitz_ledger
 (* Typed tables over the virtual cell store. Each column value of a row is
    one cell (paper section 5: the system maps each cell to a universal key of
    column id, primary key, timestamp, and value hash), and every row mutation
-   is one ledger transaction covering all its cells. Columns marked
-   [indexed] additionally maintain the inverted index for analytic lookups. *)
+   is one [Db.commit] covering all its cells — the database's one write path
+   writes the cells, and indexes them when it keeps an inverted index. *)
 
 type col_type = T_int | T_float | T_text | T_bool | T_json
 
@@ -103,7 +103,7 @@ type t = {
    are column-qualified so row cells are verifiable individually. *)
 let column_id spec col = spec.table_name ^ "." ^ col
 
-let ledger_key spec col pk = column_id spec col ^ "\x1f" ^ pk
+let ledger_key spec col pk = Universal_key.ledger_key ~column:(column_id spec col) ~pk
 
 let create db spec =
   validate_spec spec;
@@ -145,32 +145,14 @@ let insert t ~pk row =
     Printf.sprintf "UPSERT %s pk=%s cols=[%s]" t.spec.table_name pk
       (String.concat "," (List.map fst row))
   in
-  let height = Auditor.record (Db.auditor t.db) ~statements:[ statement ] writes in
-  List.iter
-    (fun (col, value) ->
-       let printed = Json.to_string value in
-       let ukey =
-         Cell_store.write_cell (Db.cells t.db) ~column:(column_id t.spec col) ~pk ~ts:height printed
-       in
-       let c = List.find (fun c -> c.col_name = col) t.spec.columns in
-       match (c.indexed, (Db.inverted_index t.db)) with
-       | true, Some inv ->
-         let iv =
-           match value with
-           | Json.Num f -> Spitz_index.Inverted.Num f
-           | other -> Spitz_index.Inverted.Str (Json.to_string other)
-         in
-         Spitz_index.Inverted.add inv iv (Universal_key.encode ukey)
-       | _ -> ())
-    row;
-  height
+  Db.commit t.db ~statements:[ statement ] writes
 
 let delete t ~pk =
   let writes = List.map (fun c -> Ledger.Delete (ledger_key t.spec c.col_name pk)) t.spec.columns in
   let statement = Printf.sprintf "DELETE %s pk=%s" t.spec.table_name pk in
-  Auditor.record (Db.auditor t.db) ~statements:[ statement ] writes
+  Db.commit t.db ~statements:[ statement ] writes
 
-(* Read a cell's committed JSON value ([delete]d cells read as Null). *)
+(* Read a cell's committed JSON value ([delete]d cells read as absent). *)
 let cell_value t ?height ~pk col =
   let column = column_id t.spec col in
   let ts = height in
@@ -184,20 +166,8 @@ let get_row ?height t ~pk =
       (fun c -> Option.map (fun v -> (c.col_name, v)) (cell_value t ?height ~pk c.col_name))
       t.spec.columns
   in
-  (* a deleted row has its ledger tombstones but cells remain immutable; for
-     current-state reads a row is present iff the ledger holds at least one
-     live cell. Historical reads ([height]) bypass the check: they ask what
-     was committed as of that block. *)
-  let live =
-    match height with
-    | Some _ -> true
-    | None ->
-      List.exists
-        (fun c ->
-           Db.L.get (Auditor.ledger (Db.auditor t.db)) (ledger_key t.spec c.col_name pk) <> None)
-        t.spec.columns
-  in
-  if live && cells <> [] then Some cells else None
+  (* a deleted row's cells all end in tombstones *)
+  if cells <> [] then Some cells else None
 
 (* Verified row read: the row's cells plus one ledger proof per cell, checked
    against the given digest. *)
@@ -237,38 +207,27 @@ let select_range t ~pk_lo ~pk_hi =
     in
     List.filter_map (fun pk -> Option.map (fun row -> (pk, row)) (get_row t ~pk)) pks
 
-(* Analytic lookup through the inverted index: all pks whose [col] equals
-   [value]. Falls back to a scan when the column is not indexed. *)
+(* Analytic lookup through the inverted index, which holds every cell's
+   stored bytes (the printed JSON): all pks whose current [col] equals
+   [value]. Index hits include superseded versions, so each is confirmed
+   against the current cell. Falls back to a column scan when the database
+   keeps no inverted index. *)
 let find_by_value t ~col value =
-  let c =
-    match List.find_opt (fun c -> c.col_name = col) t.spec.columns with
-    | Some c -> c
-    | None -> error "table %s has no column %S" t.spec.table_name col
+  if not (List.exists (fun c -> c.col_name = col) t.spec.columns) then
+    error "table %s has no column %S" t.spec.table_name col;
+  let column = column_id t.spec col in
+  let candidates =
+    match Db.inverted_index t.db with
+    | Some inv ->
+      List.filter_map
+        (fun ukey ->
+           match Universal_key.decode ukey with
+           | Some uk when uk.Universal_key.column = column -> Some uk.Universal_key.pk
+           | _ -> None)
+        (Spitz_index.Inverted.lookup inv (Spitz_index.Inverted.Str (Json.to_string value)))
+    | None ->
+      List.map fst
+        (Cell_store.range_latest_values (Db.cells t.db) ~column ~pk_lo:"" ~pk_hi:"\xff")
   in
-  let matching_pk uk = (uk : Universal_key.t).Universal_key.column = column_id t.spec col in
-  match (c.indexed, (Db.inverted_index t.db)) with
-  | true, Some inv ->
-    let iv =
-      match value with
-      | Json.Num f -> Spitz_index.Inverted.Num f
-      | other -> Spitz_index.Inverted.Str (Json.to_string other)
-    in
-    List.sort_uniq String.compare
-      (List.filter_map
-         (fun ukey ->
-            match Universal_key.decode ukey with
-            | Some uk when matching_pk uk ->
-              (* confirm the hit is still the current value *)
-              (match cell_value t ~pk:uk.Universal_key.pk col with
-               | Some current when current = value -> Some uk.Universal_key.pk
-               | _ -> None)
-            | _ -> None)
-         (Spitz_index.Inverted.lookup inv iv))
-  | _ ->
-    List.filter_map
-      (fun (pk, _) ->
-         match cell_value t ~pk col with
-         | Some current when current = value -> Some pk
-         | _ -> None)
-      (Cell_store.range_latest_values (Db.cells t.db) ~column:(column_id t.spec col) ~pk_lo:""
-         ~pk_hi:"\xff")
+  List.sort_uniq String.compare
+    (List.filter (fun pk -> cell_value t ~pk col = Some value) candidates)

@@ -1,10 +1,11 @@
 (** Typed tables over the virtual cell store: each column value of a row is
-    one cell, every row mutation is one ledger transaction, and indexed
-    columns feed the inverted index. *)
+    one cell, and every row mutation is one {!Db.commit}. *)
 
 type col_type = T_int | T_float | T_text | T_bool | T_json
 
 type column = { col_name : string; col_type : col_type; indexed : bool }
+(** [indexed] is kept in the catalog and the SQL grammar; a database opened
+    [with_inverted] indexes every cell, whatever the flag. *)
 
 type spec = {
   table_name : string;
@@ -46,5 +47,6 @@ val select_range : t -> pk_lo:string -> pk_hi:string -> (string * (string * Json
 (** All live rows with pk in range, as (pk, row). *)
 
 val find_by_value : t -> col:string -> Json.t -> string list
-(** Primary keys whose current [col] equals the value: inverted-index lookup
-    for indexed columns, scan otherwise. *)
+(** Primary keys whose current [col] equals the value, in order: an
+    inverted-index lookup when the database keeps one, a column scan
+    otherwise. *)

@@ -52,3 +52,18 @@ let compare a b = String.compare (encode a) (encode b)
 
 let pp fmt t =
   Format.fprintf fmt "%s/%s@%d#%s" t.column t.pk t.ts (Hash.short_hex t.vhash)
+
+(* The ledger key of a cell. A column-qualified key [column ^ "\x1f" ^ pk]
+   names cell (column, pk); every other key — no separator, or qualified by
+   the default column itself — is a pk of the default column, whole. The
+   rule is injective, so distinct ledger keys never share a cell, and the
+   live write path, recovery and every read resolve keys through it. *)
+let column_sep = '\x1f'
+
+let ledger_key ~column ~pk = Printf.sprintf "%s%c%s" column column_sep pk
+
+let split ~default key =
+  match String.index_opt key column_sep with
+  | Some i when not (String.equal (String.sub key 0 i) default) ->
+    (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
+  | _ -> (default, key)

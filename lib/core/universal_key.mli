@@ -36,3 +36,12 @@ val ts_of_encoded : prefix_len:int -> string -> int
 
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
+
+val ledger_key : column:string -> pk:string -> string
+(** The ledger key naming cell ([column], [pk]): the two joined by [0x1f]. *)
+
+val split : default:string -> string -> string * string
+(** The cell (column, pk) a ledger key names: a key qualified by a column
+    other than [default] splits at its first [0x1f]; any other key is a pk
+    of [default], whole. Injective, and the inverse of {!ledger_key} for
+    every column but [default]. *)

@@ -49,9 +49,6 @@ module Make (Index : Siri.S) = struct
     mutable time : int;
     mutable next_txn : int;
     pool : Spitz_exec.Pool.t option; (* commit-pipeline parallelism; None = serial *)
-    mutable on_commit : (height:int -> body:Spitz_crypto.Hash.t -> Block.t -> unit) option;
-    (* durability hook: fires once per committed block, after the journal
-       append — the write-ahead log's attachment point *)
     head : snapshot option Atomic.t;
     (* the latest committed view; what every concurrent read goes through *)
   }
@@ -64,11 +61,8 @@ module Make (Index : Siri.S) = struct
       time = 0;
       next_txn = 0;
       pool;
-      on_commit = None;
       head = Atomic.make None;
     }
-
-  let set_on_commit t f = t.on_commit <- f
 
   let store t = t.store
   let journal t = t.journal
@@ -147,14 +141,14 @@ module Make (Index : Siri.S) = struct
   type prepared = {
     p_writes : write list;
     p_statements : string list;
-    p_value_hashes : Hash.t list;
+    p_values : Object_store.value option list; (* [None] for deletes *)
   }
 
   let prepare t ?(statements = []) writes =
-    let value_hashes =
+    let values =
       let hash_of = function
-        | Put (_, v) -> Hash.of_string v
-        | Delete _ -> Hash.null
+        | Put (_, v) -> Some (Object_store.value v)
+        | Delete _ -> None
       in
       match t.pool with
       | Some pool
@@ -162,9 +156,14 @@ module Make (Index : Siri.S) = struct
         Spitz_exec.Pool.map_list pool hash_of writes
       | _ -> List.map hash_of writes
     in
-    { p_writes = writes; p_statements = statements; p_value_hashes = value_hashes }
+    { p_writes = writes; p_statements = statements; p_values = values }
 
-  let commit_prepared t { p_writes = writes; p_statements = statements; p_value_hashes = value_hashes } =
+  let prepared_values p =
+    List.map2
+      (fun w v -> match w with Put (k, _) | Delete k -> (k, v))
+      p.p_writes p.p_values
+
+  let commit_prepared t { p_writes = writes; p_statements = statements; p_values = values } =
     let txn_id = fresh_txn t in
     let index =
       List.fold_left
@@ -176,11 +175,12 @@ module Make (Index : Siri.S) = struct
     in
     let entries =
       List.map2
-        (fun w value_hash ->
+        (fun w (v : Object_store.value option) ->
+           let value_hash = match v with Some v -> v.hash | None -> Hash.null in
            match w with
            | Put (k, _) -> { Block.op = Block.Update; key = k; value_hash; txn_id }
-           | Delete k -> { Block.op = Block.Delete; key = k; value_hash = Hash.null; txn_id })
-        writes value_hashes
+           | Delete k -> { Block.op = Block.Delete; key = k; value_hash; txn_id })
+        writes values
     in
     let height = Journal.length t.journal in
     t.time <- t.time + 1;
@@ -213,9 +213,6 @@ module Make (Index : Siri.S) = struct
            s_digest = Journal.digest t.journal;
            s_index = index;
          });
-    (match t.on_commit with
-     | None -> ()
-     | Some f -> f ~height ~body:(Journal.body_hash t.journal height) block);
     height
 
   let commit t ?statements writes = commit_prepared t (prepare t ?statements writes)

@@ -50,13 +50,10 @@ module Make (Index : Siri.S) : sig
       bit-identical to committing the same batches serially in the same
       order. *)
 
-  val set_on_commit :
-    t -> (height:int -> body:Hash.t -> Block.t -> unit) option -> unit
-  (** Install (or clear) a hook fired once per committed block, after the
-      journal append, with the block's height, the content address of its
-      encoded body, and the block itself. The durable database layer uses
-      this to append each commit to the write-ahead log; {!restore} does not
-      fire it (those blocks are already durable). *)
+  val prepared_values : prepared -> (string * Object_store.value option) list
+  (** Each write's key and hashed payload ([None] for a delete), in batch
+      order — the value hash the block entry records, handed on so the cell
+      store reuses it instead of hashing the value again. *)
 
   val get : t -> string -> string option
   val get_at : t -> height:int -> string -> string option

@@ -80,22 +80,15 @@ let rebuild_tokens db tokens =
 
 (* --- request dispatch --- *)
 
-(* The journal only ever grows, so a consistency proof computed between two
-   digest reads may anchor in a newer head than the one we read; retry until
-   the digest is stable around the proof (commit storms settle quickly). *)
+(* [Db.anchor] reads the digest and proves it under one hold of the commit
+   lock, so the pair always verifies. *)
 let anchor db known =
-  let rec go attempt =
-    let d : Spitz_ledger.Journal.digest = Db.digest db in
-    if known > d.size then
-      Ipc.Error (Printf.sprintf "anchor: client ahead of server (%d > %d)" known d.size)
-    else
-      let consistency = Db.consistency db ~old_size:known in
-      let d' : Spitz_ledger.Journal.digest = Db.digest db in
-      if d'.size = d.size || attempt > 8 then
-        Ipc.AnchorResp { Ipc.root = d.root; size = d.size; consistency }
-      else go (attempt + 1)
-  in
-  go 0
+  let d : Spitz_ledger.Journal.digest = Db.digest db in
+  if known > d.size then
+    Ipc.Error (Printf.sprintf "anchor: client ahead of server (%d > %d)" known d.size)
+  else
+    let d, consistency = Db.anchor db ~old_size:known in
+    Ipc.AnchorResp { Ipc.root = d.root; size = d.size; consistency }
 
 let apply t ~token ~puts ~deletes =
   Mutex.lock t.tokens_mu;

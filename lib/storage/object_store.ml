@@ -98,8 +98,9 @@ let object_count t =
   with_all_shards t (fun () ->
       Array.fold_left (fun acc s -> acc + Hash.Table.length s.objects) 0 t.shards)
 
-let put t data =
-  let h = Hash.of_string data in
+(* [h] must be the content address of [data]; {!put} and {!put_value} are
+   the only callers, and both hashed [data] in-process. *)
+let put_hashed t h data =
   let s = shard_of t h in
   let fresh =
     with_shard s (fun () ->
@@ -119,6 +120,8 @@ let put t data =
   (* outside the shard lock: the hook may do arbitrary work (WAL capture) *)
   if fresh then (match t.observer with None -> () | Some f -> f h data);
   h
+
+let put t data = put_hashed t (Hash.of_string data) data
 
 (* Store an encoder's output without materializing it first: the content
    address is hashed straight from the writer's buffer, and the bytes are
@@ -227,18 +230,29 @@ let looks_like_descriptor data =
   String.length data >= prefix_len
   && String.equal (String.sub data 0 prefix_len) descriptor_magic
 
-let put_blob t data =
-  (* Values above the average chunk size are chunked so that local edits
-     share all untouched pieces; values that would be mistaken for a
-     descriptor are also stored via the descriptor path, so decoding stays
-     unambiguous. *)
-  if String.length data <= t.chunk_params.Chunk.avg_size && not (looks_like_descriptor data)
-  then put t data
-  else begin
-    let chunks = Chunk.split ~params:t.chunk_params data in
-    let hashes = List.map (put t) chunks in
-    put t (encode_descriptor hashes)
-  end
+(* Values above the average chunk size are chunked so that local edits
+   share all untouched pieces; values that would be mistaken for a
+   descriptor are also stored via the descriptor path, so decoding stays
+   unambiguous. *)
+let needs_chunking t data =
+  String.length data > t.chunk_params.Chunk.avg_size || looks_like_descriptor data
+
+let put_chunked t data =
+  let chunks = Chunk.split ~params:t.chunk_params data in
+  put t (encode_descriptor (List.map (put t) chunks))
+
+let put_blob t data = if needs_chunking t data then put_chunked t data else put t data
+
+(* A value hashed once, up front: the write path hashes it before the commit
+   lock, and the ledger entry, the universal key and the store address all
+   reuse that hash. The type is private, so a hash paired with bytes always
+   came from hashing exactly those bytes here. *)
+type value = { bytes : string; hash : Hash.t }
+
+let value bytes = { bytes; hash = Hash.of_string bytes }
+
+let put_value t v =
+  if needs_chunking t v.bytes then put_chunked t v.bytes else put_hashed t v.hash v.bytes
 
 let get_blob t h =
   match get t h with

@@ -79,6 +79,17 @@ val put_blob : t -> string -> Hash.t
     descriptor listing them. Local edits to large values share all untouched
     chunks with previously stored versions. *)
 
+type value = private { bytes : string; hash : Hash.t }
+(** A value paired with its content hash. Only {!value} builds one, so the
+    hash is always the SHA-256 of [bytes], computed in this process. *)
+
+val value : string -> value
+(** Hash a value once, for every layer that needs its hash. *)
+
+val put_value : t -> value -> Hash.t
+(** {!put_blob} without rehashing: a value stored raw goes under its known
+    [hash]. *)
+
 val get_blob : t -> Hash.t -> string option
 (** Reassemble a value stored by {!put_blob} (or {!put}). *)
 

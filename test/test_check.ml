@@ -358,6 +358,8 @@ let suite =
       (differential "checkpoint storm" Differ.check_checkpoint_storm 6 0xC4E7);
     Alcotest.test_case "differ: concurrent clients over loopback" `Quick
       (differential "concurrent clients" Differ.check_concurrent_clients 6 0xCC1E);
+    Alcotest.test_case "differ: schema and kv committers race" `Quick
+      (differential "schema/kv race" Differ.check_schema_kv_race 10 0x5C4E);
     Alcotest.test_case "fuzz: 10k+ mutants, zero accepted, zero foreign" `Slow test_fuzz_budget;
     Alcotest.test_case "fuzz: live frame mutants rejected" `Quick test_fuzz_frames_quick;
     Alcotest.test_case "fuzz: slice decode equals string decode" `Quick test_fuzz_slices_quick;

@@ -515,50 +515,108 @@ let commit_crash_sites =
   [ ("commit.before_wal", 5); ("wal.append.torn", 5); ("wal.append.before_sync", 6);
     ("commit.after_submit", 5); ("commit.acked", 6) ]
 
-let crash_during_commit ~sync () =
+(* A write path under test: [write db i] commits the i-th write as one
+   block, [read db i] is what a reader sees of it ([None] when absent).
+   Every API that mutates a database must meet the same survivor matrix —
+   they all funnel through [Db.commit]. *)
+type writer = {
+  name : string;
+  write : Db.t -> int -> unit;
+  read : Db.t -> int -> string option;
+}
+
+let kv_writer =
+  {
+    name = "kv";
+    write = (fun db i -> ignore (Db.put db (Printf.sprintf "k%d" i) (Printf.sprintf "v%d" i)));
+    read = (fun db i -> Db.get db (Printf.sprintf "k%d" i));
+  }
+
+let rows_spec =
+  {
+    Schema.table_name = "rows";
+    primary_key = "id";
+    columns = [ { Schema.col_name = "x"; col_type = Schema.T_text; indexed = true } ];
+  }
+
+let schema_writer =
+  {
+    name = "schema";
+    write =
+      (fun db i ->
+         ignore
+           (Schema.insert (Schema.create db rows_spec) ~pk:(Printf.sprintf "r%d" i)
+              [ ("x", Json.Str (Printf.sprintf "v%d" i)) ]));
+    read =
+      (fun db i ->
+         match Schema.get_row (Schema.create db rows_spec) ~pk:(Printf.sprintf "r%d" i) with
+         | Some [ ("x", Json.Str v) ] -> Some v
+         | _ -> None);
+  }
+
+let sql_writer =
+  {
+    name = "sql";
+    write =
+      (fun db i ->
+         ignore
+           (Sql.exec (Sql.env_of_db db)
+              (Printf.sprintf "CREATE TABLE t%d (id TEXT PRIMARY KEY, x TEXT)" i)));
+    read =
+      (fun db i ->
+         let name = Printf.sprintf "t%d" i in
+         match Sql.exec (Sql.env_of_db db) ("SELECT * FROM " ^ name) with
+         | Sql.Rows _ -> Some name
+         | _ -> None
+         | exception Sql.Sql_error _ -> None);
+  }
+
+let crash_during_commit ~sync writer =
   List.iter
     (fun (site, survive) ->
        with_dir (fun dir ->
+           let label = writer.name ^ " " ^ site in
            let d = Db.open_durable ~sync dir in
            let db = Db.durable_db d in
            for i = 0 to 4 do
-             ignore (Db.put db (Printf.sprintf "k%d" i) (Printf.sprintf "v%d" i))
+             writer.write db i
            done;
+           let before = List.init 5 (writer.read db) in
            Fault.arm site;
-           (match Db.put db "k5" "v5" with
-            | exception Fault.Crash name ->
-              Alcotest.(check string) (site ^ " fired") site name
-            | _ -> Alcotest.failf "%s did not fire" site);
+           (match writer.write db 5 with
+            | exception Fault.Crash name -> Alcotest.(check string) (label ^ " fired") site name
+            | _ -> Alcotest.failf "%s did not fire" label);
            Fault.reset ();
+           let crashed = writer.read db 5 in
            (* the crashed handle is abandoned, as a dead process would be *)
            let d' = Db.open_durable dir in
            let db' = Db.durable_db d' in
-           Alcotest.(check int)
-             (site ^ ": durable prefix")
-             survive
+           Alcotest.(check int) (label ^ ": durable prefix") survive
              (Db.digest db').Spitz_ledger.Journal.size;
-           for i = 0 to 4 do
-             Alcotest.(check (option string))
-               (Printf.sprintf "%s: k%d" site i)
-               (Some (Printf.sprintf "v%d" i))
-               (Db.get db' (Printf.sprintf "k%d" i))
-           done;
+           List.iteri
+             (fun i v ->
+                Alcotest.(check (option string)) (Printf.sprintf "%s: write %d" label i) v
+                  (writer.read db' i))
+             before;
            Alcotest.(check (option string))
-             (site ^ ": crashed commit")
-             (if survive = 6 then Some "v5" else None)
-             (Db.get db' "k5");
-           Alcotest.(check bool) (site ^ ": chain verifies") true (Db.audit db');
+             (label ^ ": crashed commit")
+             (if survive = 6 then crashed else None)
+             (writer.read db' 5);
+           Alcotest.(check bool) (label ^ ": chain verifies") true (Db.audit db');
            (* the recovered database accepts new commits *)
            ignore (Db.put db' "post" "crash");
            Db.close_durable d'))
     commit_crash_sites
 
 (* The same survivor matrix must hold under both ack-equals-durable
-   policies: plain [Always] and lingering [Group] batches. *)
-let test_crash_during_commit () = crash_during_commit ~sync:Wal.Always ()
+   policies, plain [Always] and lingering [Group] batches, and for every
+   write path: KV puts, schema rows, and the SQL catalog. *)
+let writers = [ kv_writer; schema_writer; sql_writer ]
+
+let test_crash_during_commit () = List.iter (crash_during_commit ~sync:Wal.Always) writers
 
 let test_crash_during_commit_group () =
-  crash_during_commit ~sync:(Wal.Group { max_batch = 4; max_delay_us = 200 }) ()
+  List.iter (crash_during_commit ~sync:(Wal.Group { max_batch = 4; max_delay_us = 200 })) writers
 
 (* Every step of the non-blocking checkpoint protocol, in order: pin+rotate
    under the commit lock (begin, rotate.begin, rotate.after_create), the

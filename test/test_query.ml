@@ -79,6 +79,16 @@ let test_schema_type_checking () =
    | exception Schema.Schema_error _ -> ()
    | _ -> Alcotest.fail "bad pk expected")
 
+(* Reopen a database through save/load: the cell store and the inverted
+   index are rebuilt from the journal alone. *)
+let reload db =
+  let path = Filename.temp_file "spitz_query" ".db" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+       Db.save db path;
+       Db.load path)
+
 let test_schema_update_delete_history () =
   let db = Db.open_db () in
   let t = Schema.create db spec in
@@ -97,8 +107,26 @@ let test_schema_update_delete_history () =
      Alcotest.(check (option (float 0.001))) "balance at h1" (Some 10.0)
        (Option.bind (List.assoc_opt "balance" row) Json.to_float)
    | None -> Alcotest.fail "historical row missing");
-  ignore (Schema.delete t ~pk:"a");
-  Alcotest.(check bool) "deleted" true (Schema.get_row t ~pk:"a" = None)
+  let hd = Schema.delete t ~pk:"a" in
+  Alcotest.(check bool) "deleted" true (Schema.get_row t ~pk:"a" = None);
+  (* the delete's own block already holds the tombstones *)
+  Alcotest.(check bool) "deleted at its height" true (Schema.get_row ~height:hd t ~pk:"a" = None);
+  (* a KV key holding the column separator names the same cell for the
+     cell-store read as for the verified read *)
+  ignore (Db.put db "x\x1fy" "v1");
+  Alcotest.(check (option string)) "0x1f key: get = verified" (fst (Db.get_verified db "x\x1fy"))
+    (Db.get db "x\x1fy");
+  (* a reopened database answers exactly as the live one did *)
+  let db' = reload db in
+  let t' = Schema.create db' spec in
+  List.iter
+    (fun height ->
+       Alcotest.(check bool)
+         (Printf.sprintf "reload: row at %s" (Option.fold ~none:"head" ~some:string_of_int height))
+         true
+         (Schema.get_row ?height t ~pk:"a" = Schema.get_row ?height t' ~pk:"a"))
+    [ None; Some h1; Some hd ];
+  Alcotest.(check (option string)) "reload: 0x1f key" (Some "v1") (Db.get db' "x\x1fy")
 
 let test_schema_verified_row () =
   let db = Db.open_db () in
@@ -118,13 +146,30 @@ let test_schema_find_by_value () =
   ignore (Schema.insert t ~pk:"c" [ ("owner", Json.Str "alice"); ("balance", Json.Num 3.0) ]);
   Alcotest.(check (list string)) "indexed search" [ "a"; "c" ]
     (Schema.find_by_value t ~col:"owner" (Json.Str "alice"));
-  (* non-indexed column falls back to a scan *)
+  (* non-indexed column *)
   Alcotest.(check (list string)) "scan search" [ "b" ]
     (Schema.find_by_value t ~col:"balance" (Json.Num 2.0));
+  (* the search survives a reload: the index is rebuilt from the journal *)
+  let t' = Schema.create (reload db) spec in
+  Alcotest.(check (list string)) "reload: indexed search" [ "a"; "c" ]
+    (Schema.find_by_value t' ~col:"owner" (Json.Str "alice"));
   (* stale index entries are filtered out after updates *)
   ignore (Schema.insert t ~pk:"a" [ ("owner", Json.Str "carol") ]);
   Alcotest.(check (list string)) "after update" [ "c" ]
-    (Schema.find_by_value t ~col:"owner" (Json.Str "alice"))
+    (Schema.find_by_value t ~col:"owner" (Json.Str "alice"));
+  (* and a deleted row is found by no search *)
+  ignore (Schema.delete t ~pk:"c");
+  Alcotest.(check (list string)) "after delete" []
+    (Schema.find_by_value t ~col:"owner" (Json.Str "alice"));
+  let t' = Schema.create (reload db) spec in
+  List.iter
+    (fun (col, v) ->
+       Alcotest.(check (list string))
+         ("reload: " ^ col ^ " = " ^ Json.to_string v)
+         (Schema.find_by_value t ~col v)
+         (Schema.find_by_value t' ~col v))
+    [ ("owner", Json.Str "alice"); ("owner", Json.Str "carol"); ("owner", Json.Str "bob");
+      ("balance", Json.Num 2.0); ("balance", Json.Num 3.0) ]
 
 (* --- SQL --- *)
 

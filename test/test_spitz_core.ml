@@ -1,5 +1,6 @@
 open Spitz
 module Hash = Spitz_crypto.Hash
+module Object_store = Spitz_storage.Object_store
 
 (* --- universal keys --- *)
 
@@ -18,7 +19,12 @@ let test_ukey_ordering () =
 
 let test_ukey_rejects_nul () =
   Alcotest.check_raises "nul in pk" (Invalid_argument "Universal_key: pk contains NUL")
-    (fun () -> ignore (Universal_key.make ~column:"c" ~pk:"a\x00b" ~ts:0 ~vhash:Hash.null))
+    (fun () -> ignore (Universal_key.make ~column:"c" ~pk:"a\x00b" ~ts:0 ~vhash:Hash.null));
+  (* a key no cell can hold is refused before the ledger moves *)
+  let db = Db.open_db () in
+  Alcotest.check_raises "nul in a db key" (Invalid_argument "Db.commit: key contains NUL")
+    (fun () -> ignore (Db.put db "a\x00b" "v"));
+  Alcotest.(check int) "nothing committed" 0 (Db.digest db).Spitz_ledger.Journal.size
 
 let test_ukey_bounds () =
   let lo, hi = Universal_key.cell_bounds ~column:"c" ~pk:"k" in
@@ -31,9 +37,9 @@ let test_ukey_bounds () =
 
 let test_cell_store_versions () =
   let cs = Cell_store.create () in
-  let _ = Cell_store.write_cell cs ~column:"v" ~pk:"k" ~ts:1 "one" in
-  let _ = Cell_store.write_cell cs ~column:"v" ~pk:"k" ~ts:5 "five" in
-  let _ = Cell_store.write_cell cs ~column:"v" ~pk:"other" ~ts:3 "x" in
+  let _ = Cell_store.write_cell cs ~column:"v" ~pk:"k" ~ts:1 (Object_store.value "one") in
+  let _ = Cell_store.write_cell cs ~column:"v" ~pk:"k" ~ts:5 (Object_store.value "five") in
+  let _ = Cell_store.write_cell cs ~column:"v" ~pk:"other" ~ts:3 (Object_store.value "x") in
   Alcotest.(check (option string)) "latest" (Some "five") (Cell_store.read_value cs ~column:"v" ~pk:"k");
   Alcotest.(check (option string)) "at ts 1" (Some "one")
     (Cell_store.read_value ~ts:1 cs ~column:"v" ~pk:"k");
@@ -47,7 +53,7 @@ let test_cell_store_versions () =
 let test_cell_store_range () =
   let cs = Cell_store.create () in
   List.iter
-    (fun (pk, ts, v) -> ignore (Cell_store.write_cell cs ~column:"v" ~pk ~ts v))
+    (fun (pk, ts, v) -> ignore (Cell_store.write_cell cs ~column:"v" ~pk ~ts (Object_store.value v)))
     [ ("a", 1, "a1"); ("a", 2, "a2"); ("b", 1, "b1"); ("c", 1, "c1"); ("c", 3, "c3") ];
   let latest = Cell_store.range_latest_values cs ~column:"v" ~pk_lo:"a" ~pk_hi:"c" in
   Alcotest.(check (list (pair string string))) "latest per pk"
@@ -331,6 +337,40 @@ let test_db_snapshot_atomic_under_commits () =
   Alcotest.(check int) "no torn snapshot observed" 0 !bad;
   Alcotest.(check bool) "committer progressed" true (commits > 0)
 
+(* An anchor pairs a digest with the proof that it extends an older one. The
+   journal is appended before its head is published, so a proof taken beside
+   a commit once reached one block past the digest read around it: a pair
+   whose digest was stable across the proof failed to verify. Every stable
+   pair must verify, and every [Db.anchor] pair, under a commit storm. *)
+let test_db_anchor_pairs_under_commits () =
+  let db = Db.open_db () in
+  ignore (Db.put db "seed" "0");
+  let old = Db.digest db in
+  let finished = Atomic.make false in
+  let committer =
+    Domain.spawn (fun () ->
+        for i = 1 to 1000 do
+          ignore (Db.put db (Printf.sprintf "c%d" i) "x")
+        done;
+        Atomic.set finished true)
+  in
+  let verifies d proof =
+    Spitz_ledger.Journal.verify_consistency ~old_digest:old ~new_digest:d proof
+  in
+  let stable = ref 0 and bad = ref 0 in
+  while not (Atomic.get finished) || !stable < 200 do
+    let d = Db.digest db in
+    let proof = Db.consistency db ~old_size:old.Spitz_ledger.Journal.size in
+    if (Db.digest db).Spitz_ledger.Journal.size = d.Spitz_ledger.Journal.size then begin
+      incr stable;
+      if not (verifies d proof) then incr bad
+    end;
+    let d, proof = Db.anchor db ~old_size:old.Spitz_ledger.Journal.size in
+    if not (verifies d proof) then incr bad
+  done;
+  Domain.join committer;
+  Alcotest.(check int) "every anchor pair verifies" 0 !bad
+
 let test_db_snapshot_parallel_reads () =
   let db = Db.open_db () in
   for i = 0 to 199 do
@@ -380,6 +420,8 @@ let suite =
     Alcotest.test_case "db proof cache" `Quick test_db_proof_cache;
     Alcotest.test_case "db snapshot atomic under commits" `Quick
       test_db_snapshot_atomic_under_commits;
+    Alcotest.test_case "db anchor pairs verify under commits" `Quick
+      test_db_anchor_pairs_under_commits;
     Alcotest.test_case "db snapshot parallel reads" `Quick
       test_db_snapshot_parallel_reads;
   ]
