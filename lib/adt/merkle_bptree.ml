@@ -53,49 +53,75 @@ let split_list l =
   in
   take (n / 2) l
 
-(* Returns one or two (min_key, hash) links replacing the modified child. *)
-let rec insert_at t h key value =
-  match load t.store h with
-  | Leaf entries ->
+(* Batched insert with deferred sealing. The batch is folded over an
+   unhashed, path-copied tree in which a child is either the address of a
+   stored node the batch has not touched, or a dirty node held in memory. A
+   stored child is loaded only when a key descends into it. The fold applies
+   the single-key rules ([insert_entry], [split_list], [child_index],
+   min-key separators) one key at a time, so the resulting shape — and with
+   it every digest and proof — is exactly that of inserting the keys one by
+   one. Only the sealing differs: each dirty node is encoded, hashed and
+   stored once, bottom-up, instead of once per key that passed through it,
+   so the store receives no node the new root cannot reach. *)
+type child = Stored of Hash.t | Dirty of dirty
+and dirty = D_leaf of (string * string) list | D_internal of (string * child) list
+
+let expand store h =
+  match load store h with
+  | Leaf entries -> D_leaf entries
+  | Internal children -> D_internal (List.map (fun (k, h) -> (k, Stored h)) children)
+
+(* One or two (min_key, dirty node) links replacing a modified node whose
+   new contents are [items]. *)
+let relink make items =
+  let link items = (fst (List.hd items), Dirty (make items)) in
+  if List.length items <= max_entries then [ link items ]
+  else begin
+    let left, right = split_list items in
+    [ link left; link right ]
+  end
+
+let rec insert_dirty store node key value =
+  match node with
+  | D_leaf entries ->
     let entries', grew = insert_entry key value entries in
-    if List.length entries' <= max_entries then
-      let node = Leaf entries' in
-      ([ (min_key node, save t.store node) ], grew)
-    else begin
-      let left, right = split_list entries' in
-      let nl = Leaf left and nr = Leaf right in
-      ([ (min_key nl, save t.store nl); (min_key nr, save t.store nr) ], grew)
-    end
-  | Internal children ->
+    (relink (fun l -> D_leaf l) entries', grew)
+  | D_internal children ->
     let idx = child_index children key in
-    let _, child_hash = List.nth children idx in
-    let replacements, grew = insert_at t child_hash key value in
+    let child =
+      match List.nth children idx with _, Stored h -> expand store h | _, Dirty n -> n
+    in
+    let replacements, grew = insert_dirty store child key value in
     let children' =
       List.concat
-        (List.mapi (fun i (k, ch) -> if i = idx then replacements else [ (k, ch) ]) children)
+        (List.mapi (fun i link -> if i = idx then replacements else [ link ]) children)
     in
-    if List.length children' <= max_entries then
-      let node = Internal children' in
-      ([ (min_key node, save t.store node) ], grew)
-    else begin
-      let left, right = split_list children' in
-      let nl = Internal left and nr = Internal right in
-      ([ (min_key nl, save t.store nl); (min_key nr, save t.store nr) ], grew)
-    end
+    (relink (fun l -> D_internal l) children', grew)
 
-let insert t key value =
-  match t.root with
-  | None ->
-    let node = Leaf [ (key, value) ] in
-    { t with root = Some (save t.store node); count = 1 }
-  | Some h ->
-    let links, grew = insert_at t h key value in
-    let root =
-      match links with
-      | [ (_, h') ] -> h'
-      | links -> save t.store (Internal links)
+let rec seal store = function
+  | D_leaf entries -> save store (Leaf entries)
+  | D_internal children ->
+    save store
+      (Internal
+         (List.map
+            (fun (k, c) -> (k, match c with Stored h -> h | Dirty n -> seal store n))
+            children))
+
+let insert_batch t = function
+  | [] -> t
+  | kvs ->
+    let step (root, count) (key, value) =
+      match root with
+      | None -> (Some (D_leaf [ (key, value) ]), 1)
+      | Some node ->
+        let links, grew = insert_dirty t.store node key value in
+        let node = match links with [ (_, Dirty n) ] -> n | links -> D_internal links in
+        (Some node, if grew then count + 1 else count)
     in
-    { t with root = Some root; count = (if grew then t.count + 1 else t.count) }
+    let root, count = List.fold_left step (Option.map (expand t.store) t.root, t.count) kvs in
+    { t with root = Option.map (seal t.store) root; count }
+
+let insert t key value = insert_batch t [ (key, value) ]
 
 let get t key = Kv_node.get t.store t.root key
 let get_with_proof t key = Kv_node.get_with_proof t.store t.root key

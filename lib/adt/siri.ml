@@ -70,6 +70,13 @@ module type S = sig
   (** Persistent insert (or overwrite): the previous version remains valid and
       shares all untouched nodes with the new one. *)
 
+  val insert_batch : t -> (string * string) list -> t
+  (** The inserts of a whole batch, applied in list order (a later pair for
+      the same key wins): equal to folding {!insert} over the list — same
+      {!root_digest}, {!cardinal}, reads and proofs. An index may seal the
+      batch at the end instead of after every key; the Merkle B+-tree does,
+      hashing and storing each node the batch changed once. *)
+
   val get : t -> string -> string option
 
   val get_with_proof : t -> string -> string option * proof

@@ -77,7 +77,7 @@ let put_batch t kvs =
     | _ -> List.map entry_of kvs
   in
   (* the ledger: shadow tree over the record contents *)
-  t.shadow <- List.fold_left (fun sh (key, value) -> Shadow.insert sh key value) t.shadow kvs;
+  t.shadow <- Shadow.insert_batch t.shadow kvs;
   let height = Journal.length t.journal in
   let block =
     Block.create_rooted

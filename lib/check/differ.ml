@@ -252,18 +252,29 @@ let siri_impls : (module Spitz_adt.Siri.S) list =
 let check_one_siri (module S : Spitz_adt.Siri.S) (tr : Trace.trace) =
   let store = Spitz_storage.Object_store.create () in
   let t = ref (S.create store) in
+  (* the same commits inserted one key at a time, on a store of their own *)
+  let by_key = ref (S.create (Spitz_storage.Object_store.create ())) in
   let model = Hashtbl.create 64 in
   List.iter
     (function
       | Trace.Reopen -> ()
       | Trace.Commit ws ->
-        List.iter
-          (function
-            | Trace.W (k, v) ->
-              t := S.insert !t (Trace.key k) (Trace.value k v);
-              Hashtbl.replace model k (Trace.value k v)
-            | Trace.D _ -> () (* raw SIRI indexes carry no tombstones *))
-          ws)
+        let batch =
+          List.filter_map
+            (function
+              | Trace.W (k, v) ->
+                Hashtbl.replace model k (Trace.value k v);
+                Some (Trace.key k, Trace.value k v)
+              | Trace.D _ -> None (* raw SIRI indexes carry no tombstones *))
+            ws
+        in
+        t := S.insert_batch !t batch;
+        by_key := List.fold_left (fun t (k, v) -> S.insert t k v) !by_key batch;
+        if not (Spitz_crypto.Hash.equal (S.root_digest !t) (S.root_digest !by_key)) then
+          fail "%s: insert_batch root differs from the per-key fold" S.name;
+        if S.cardinal !t <> S.cardinal !by_key then
+          fail "%s: insert_batch cardinal %d, per-key fold %d" S.name (S.cardinal !t)
+            (S.cardinal !by_key))
     tr.steps;
   let t = !t in
   let digest = S.root_digest t in
@@ -601,10 +612,15 @@ let check_checkpoint_storm (tr : Trace.trace) =
     in
     let batch_of (c, j) = List.nth (List.nth slices c) j in
     let live = Atomic.make ncommitters in
+    (* start latch: committers begin only once the checkpointer is inside
+       its loop, so its first checkpoint overlaps the commits however the
+       domains are scheduled *)
+    let started = Atomic.make false in
     let committers =
       List.mapi
         (fun c slice ->
            Domain.spawn (fun () ->
+               while not (Atomic.get started) do Domain.cpu_relax () done;
                List.iteri
                  (fun j ws ->
                     ignore (Db.commit db ~statements:[ sentinel c j ] (writes_of ws)))
@@ -615,14 +631,20 @@ let check_checkpoint_storm (tr : Trace.trace) =
     let checkpointer =
       Domain.spawn (fun () ->
           while Atomic.get live > 0 do
+            Atomic.set started true;
             Db.checkpoint d
           done)
     in
     let reader =
       Domain.spawn (fun () ->
+          (* bounded in time, not iterations: back-to-back checkpoints fsync
+             under the commit lock, so how many reads fit in one storm
+             depends on the disk *)
+          let deadline = Unix.gettimeofday () +. 60. in
           let i = ref 0 in
           while Atomic.get live > 0 || !i < 20 do
-            if !i > 100_000 then fail "reader starved: committers never finished";
+            if Unix.gettimeofday () > deadline then
+              fail "reader starved: committers never finished within 60 s";
             (match Db.snapshot db with
              | None -> ()
              | Some s ->

@@ -26,11 +26,14 @@ val check_cross : Trace.trace -> unit
 
 val check_siri : Trace.trace -> unit
 (** The trace's insertions through every SIRI implementation — Merkle
-    B+-tree, POS-tree, MPT, MBT (several bucket shapes) — asserting: all
-    implementations agree with the model; proofs (point, batch, range)
-    verify; reopening each index from its root digest ({!Spitz_adt.Siri.S.at_root})
-    reproduces the same digest and contents; and a spot-check that proofs for
-    one index {e never} verify claims for a different value. *)
+    B+-tree, POS-tree, MPT, MBT (several bucket shapes), each commit applied
+    as one {!Spitz_adt.Siri.S.insert_batch} — asserting: after every commit
+    the root and cardinality equal a per-key {!Spitz_adt.Siri.S.insert}
+    fold on a separate store; all implementations agree with the model;
+    proofs (point, batch, range) verify; reopening each index from its root
+    digest ({!Spitz_adt.Siri.S.at_root}) reproduces the same digest and
+    contents; and a spot-check that proofs for one index {e never} verify
+    claims for a different value. *)
 
 val check_pool_invariance : Trace.trace -> unit
 (** Replaying the trace with a domain pool yields a digest bit-identical to

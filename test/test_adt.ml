@@ -139,6 +139,70 @@ module Conformance (S : Siri.S) = struct
          && S.cardinal t = SM.cardinal model
          && S.range t ~lo:(key_of 0) ~hi:(key_of 500) = SM.bindings model)
 
+  (* [insert_batch] must be indistinguishable from folding [insert]: apply
+     each batch both ways, on separate stores, and compare digest,
+     cardinality, every read and every proof. *)
+  let fold_insert t kvs = List.fold_left (fun t (k, v) -> S.insert t k v) t kvs
+
+  let batch_agrees_with_fold ~base batches =
+    let by_key = fold_insert (S.create (Object_store.create ())) base in
+    let by_batch = fold_insert (S.create (Object_store.create ())) base in
+    let probes = "absent" :: List.map fst (List.concat (base :: batches)) in
+    let agree by_key by_batch =
+      let digest = S.root_digest by_batch in
+      Hash.equal (S.root_digest by_key) digest
+      && S.cardinal by_key = S.cardinal by_batch
+      && List.for_all
+           (fun key ->
+              let v, p = S.get_with_proof by_batch key in
+              S.get by_key key = v
+              && S.get by_batch key = v
+              && S.verify_get ~digest ~key ~value:v p
+              && snd (S.get_with_proof by_key key) = p)
+           probes
+    in
+    let rec go by_key by_batch = function
+      | [] -> true
+      | batch :: rest ->
+        let by_key = fold_insert by_key batch and by_batch = S.insert_batch by_batch batch in
+        agree by_key by_batch && go by_key by_batch rest
+    in
+    go by_key by_batch batches
+
+  let random_entries ~seed n =
+    let rng = Random.State.make [| seed |] in
+    List.init n (fun _ ->
+        let i = Random.State.int rng 5000 in
+        (key_of i, Printf.sprintf "r%d" (Random.State.int rng 1_000_000)))
+
+  let test_insert_batch () =
+    let check label ~base batches =
+      Alcotest.(check bool) label true (batch_agrees_with_fold ~base batches)
+    in
+    check "empty batch on empty index" ~base:[] [ [] ];
+    check "empty batch" ~base:(entries 50) [ [] ];
+    check "duplicate keys, last wins" ~base:(entries 20)
+      [ [ (key_of 3, "a"); (key_of 900, "b"); (key_of 3, "c"); (key_of 900, "d") ] ];
+    check "first batch splits the root" ~base:[] [ entries 200 ];
+    check "batch splits a one-leaf root" ~base:(entries 5)
+      [ List.init 100 (fun i -> (key_of (1000 + i), "s")) ];
+    check "sequential batches" ~base:[]
+      (List.init 6 (fun b -> List.init 64 (fun i -> (key_of ((b * 64) + i), "q"))));
+    check "random batches" ~base:(entries 300)
+      (List.init 5 (fun seed -> random_entries ~seed 150));
+    let t = S.insert_batch (S.create (Object_store.create ())) [ ("k", "1"); ("k", "2") ] in
+    Alcotest.(check (option string)) "last write wins" (Some "2") (S.get t "k");
+    Alcotest.(check int) "one key" 1 (S.cardinal t)
+
+  let prop_insert_batch =
+    QCheck.Test.make ~name:(S.name ^ ": insert_batch = fold of insert") ~count:30
+      QCheck.(
+        let kvs = small_list (pair (int_bound 300) small_nat) in
+        pair kvs (list_of_size Gen.(0 -- 4) kvs))
+      (fun (base, batches) ->
+         let kv (i, v) = (key_of i, Printf.sprintf "v%d" v) in
+         batch_agrees_with_fold ~base:(List.map kv base) (List.map (List.map kv) batches))
+
   let suite name =
     [
       Alcotest.test_case (name ^ ": empty") `Quick test_empty;
@@ -151,6 +215,8 @@ module Conformance (S : Siri.S) = struct
       Alcotest.test_case (name ^ ": iter") `Quick test_iter;
       Alcotest.test_case (name ^ ": structural sharing") `Quick test_structural_sharing;
       QCheck_alcotest.to_alcotest prop_model;
+      Alcotest.test_case (name ^ ": insert_batch equals fold") `Quick test_insert_batch;
+      QCheck_alcotest.to_alcotest prop_insert_batch;
     ]
 end
 
@@ -268,6 +334,54 @@ let test_mpt_prefix_keys () =
   Alcotest.(check bool) "range over prefixes" true
     (Mpt.range t ~lo:"a" ~hi:"abz" = [ ("a", "1"); ("ab", "2"); ("abc", "3") ])
 
+(* --- Merkle B+-tree specifics: deferred sealing --- *)
+
+(* Every object a batch stores is reachable from the root it produces: the
+   per-key fold would also store each intermediate version of the upper
+   nodes, which no root reaches. *)
+let test_bptree_batch_stores_no_garbage () =
+  let store = Object_store.create () in
+  let fresh = ref [] in
+  Object_store.set_observer store (Some (fun h _ -> fresh := h :: !fresh));
+  let check_reachable label t =
+    let reachable = Hash.Table.create 256 in
+    Merkle_bptree.iter_nodes store (Merkle_bptree.root_digest t) (fun h ->
+        Hash.Table.replace reachable h ());
+    Alcotest.(check bool) (label ^ ": stored something") true (!fresh <> []);
+    Alcotest.(check int) (label ^ ": unreachable objects stored") 0
+      (List.length (List.filter (fun h -> not (Hash.Table.mem reachable h)) !fresh));
+    fresh := []
+  in
+  let t = Merkle_bptree.insert_batch (Merkle_bptree.create store) (entries 1000) in
+  check_reachable "sequential load" t;
+  let rng = Random.State.make [| 7 |] in
+  let t =
+    Merkle_bptree.insert_batch t
+      (List.init 300 (fun i -> (key_of (Random.State.int rng 3000), string_of_int i)))
+  in
+  check_reachable "random batch" t;
+  Object_store.set_observer store None
+
+(* The tree shape is a format: a root digest computed by the per-key path
+   (store every node after every insert) before batching existed, pinned so
+   that batching — or any later change — cannot move a split point or a
+   separator unnoticed. *)
+let test_bptree_batch_root_pinned () =
+  let batches =
+    entries 1000
+    :: List.init 5 (fun b ->
+        List.init 150 (fun i ->
+            (key_of ((b * 150 + i) * 7919 mod 5000), Printf.sprintf "b%d-%d" b i)))
+  in
+  let t =
+    List.fold_left Merkle_bptree.insert_batch (Merkle_bptree.create (Object_store.create ()))
+      batches
+  in
+  Alcotest.(check int) "cardinal" 1597 (Merkle_bptree.cardinal t);
+  Alcotest.(check string) "root"
+    "fc6f01bf0f0af53e67e3f439131bf833a5cfd824d4b3b578442536f0e77315d4"
+    (Hash.to_hex (Merkle_bptree.root_digest t))
+
 (* --- MBT specifics --- *)
 
 let test_mbt_sized () =
@@ -301,6 +415,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_pos_mixed_ops_canonical;
       Alcotest.test_case "mpt: nibbles" `Quick test_mpt_nibbles;
       Alcotest.test_case "mpt: prefix keys" `Quick test_mpt_prefix_keys;
+      Alcotest.test_case "bptree: batch stores no garbage" `Quick
+        test_bptree_batch_stores_no_garbage;
+      Alcotest.test_case "bptree: batch root pinned" `Quick test_bptree_batch_root_pinned;
       Alcotest.test_case "mbt: sized buckets" `Quick test_mbt_sized;
       Alcotest.test_case "mbt: range proof cost" `Quick test_mbt_range_proof_is_whole_tree;
     ]

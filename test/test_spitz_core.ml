@@ -111,6 +111,23 @@ let test_db_batch () =
   let receipts = Spitz.Auditor.receipts (Db.auditor db) ~height in
   Alcotest.(check int) "three receipts" 3 (List.length receipts)
 
+(* A 1,000-row sequential batch into an empty database stores 1,000 value
+   blobs, the block, and each node of the new index once — not every
+   intermediate version of the upper nodes, as inserting key by key does. *)
+let test_db_batch_object_count () =
+  let db = Db.open_db () in
+  let store = Db.store db in
+  let before = Object_store.object_count store in
+  ignore
+    (Db.put_batch db
+       (List.init 1000 (fun i -> (Printf.sprintf "row%04d" i, Printf.sprintf "value-%04d" i))));
+  let index_nodes = ref 0 in
+  Spitz_adt.Merkle_bptree.iter_nodes store
+    (Db.L.snapshot_root (Option.get (Db.L.snapshot (Spitz.Auditor.ledger (Db.auditor db)))))
+    (fun _ -> incr index_nodes);
+  Alcotest.(check int) "index nodes" 140 !index_nodes;
+  Alcotest.(check int) "objects stored" (1000 + 140 + 1) (Object_store.object_count store - before)
+
 let test_db_consistency_protocol () =
   let db = Db.open_db () in
   ignore (Db.put db "a" "1");
@@ -409,6 +426,7 @@ let suite =
     Alcotest.test_case "db history + snapshots" `Quick test_db_history_and_snapshots;
     Alcotest.test_case "db write receipts" `Quick test_db_write_receipts;
     Alcotest.test_case "db batch" `Quick test_db_batch;
+    Alcotest.test_case "db batch stores each index node once" `Quick test_db_batch_object_count;
     Alcotest.test_case "db consistency protocol" `Quick test_db_consistency_protocol;
     Alcotest.test_case "db inverted search" `Quick test_db_inverted_search;
     Alcotest.test_case "db detects tampering" `Quick test_db_detects_tampering;
