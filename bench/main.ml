@@ -679,7 +679,7 @@ let verify_bench () =
       0 per_key
   in
   let batch_bytes =
-    List.fold_left (fun acc (_, p) -> acc + String.length (L.encode_batch_proof p)) 0 batched
+    List.fold_left (fun acc (_, p) -> acc + String.length (L.encode_read_proof p)) 0 batched
   in
   assert (batch_bytes < per_key_bytes);
   (* timings: keys verified per second, same pre-generated proofs *)

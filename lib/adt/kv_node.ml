@@ -100,23 +100,6 @@ let get store root key =
     in
     go h
 
-let get_with_proof store root key =
-  match root with
-  | None -> (None, { Siri.nodes = [] })
-  | Some h ->
-    let nodes = ref [] in
-    let rec go h =
-      let bytes = Object_store.get_exn store h in
-      nodes := bytes :: !nodes;
-      match decode_cached h bytes with
-      | Leaf entries -> List.assoc_opt key entries
-      | Internal children ->
-        let _, child = List.nth children (child_index children key) in
-        go child
-    in
-    let value = go h in
-    (value, { Siri.nodes = List.rev !nodes })
-
 (* Batched lookup: one traversal for the whole (sorted, deduplicated) key
    set. [child_index] is monotone in the key, so the sorted keys split into
    contiguous runs per child and every shared upper node is visited — and its
@@ -264,26 +247,6 @@ let split_points store root ~lo ~hi ~parts =
       end
 
 (* --- Client-side verification: no store access, only proof bytes. --- *)
-
-let verify_get ~digest ~key ~value proof =
-  if Hash.is_null digest then value = None && proof.Siri.nodes = []
-  else begin
-    let index = Siri.proof_index proof in
-    let rec go h =
-      match Hash.Map.find_opt h index with
-      | None -> None
-      | Some bytes ->
-        (match try decode bytes with Wire.Malformed _ -> raise Not_found with
-         | Leaf entries -> Some (List.assoc_opt key entries)
-         | Internal [] -> None
-         | Internal children ->
-           let _, child = List.nth children (child_index children key) in
-           go child)
-    in
-    match go digest with
-    | Some found -> found = value
-    | None | exception Not_found -> false
-  end
 
 (* Batched verification: the proof index is built (each node hashed) once and
    each node decoded at most once for the whole batch; the per-key work is

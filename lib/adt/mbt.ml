@@ -162,21 +162,6 @@ let rec find_bucket t h bucket level =
 
 let get t key = List.assoc_opt key (find_bucket t t.root (bucket_of_key t key) 0)
 
-let get_with_proof t key =
-  let bucket = bucket_of_key t key in
-  let nodes = ref [] in
-  let rec go h level =
-    let bytes = Object_store.get_exn t.store h in
-    nodes := bytes :: !nodes;
-    match decode_cached h bytes with
-    | Bucket entries -> if level = t.depth then List.assoc_opt key entries else None
-    | Inner (l, r) ->
-      if level >= t.depth then None
-      else go (if bit_at t bucket level = 0 then l else r) (level + 1)
-  in
-  let v = go t.root 0 in
-  (v, { Siri.nodes = List.rev !nodes })
-
 (* Batched lookup: the upper levels of the tree are shared between bucket
    paths (the root always, more the closer two buckets hash), so recording
    each node once makes the batched proof smaller than the per-key union. *)
@@ -201,6 +186,8 @@ let prove_batch t keys =
   in
   let values = List.map lookup keys in
   (values, { Siri.nodes = List.rev !nodes })
+
+let get_with_proof = Siri.get_with_proof_of prove_batch
 
 let fold_buckets t f init =
   let acc = ref init in
@@ -306,8 +293,7 @@ let verify_get_batch ~digest ~items proof =
   in
   List.for_all check items
 
-let verify_get ~digest ~key ~value proof =
-  verify_get_batch ~digest ~items:[ (key, value) ] proof
+let verify_get = Siri.verify_get_of verify_get_batch
 
 let extract_range ~digest ~lo ~hi proof =
   let index = Siri.proof_index proof in

@@ -211,30 +211,6 @@ let get t key =
   | None -> None
   | Some h -> get_at t h (to_nibbles key)
 
-let get_with_proof t key =
-  match t.root with
-  | None -> (None, { Siri.nodes = [] })
-  | Some h ->
-    let nodes = ref [] in
-    let rec go h path =
-      let bytes = Object_store.get_exn t.store h in
-      nodes := bytes :: !nodes;
-      match decode_cached h bytes with
-      | Leaf (lpath, v) -> if String.equal lpath path then Some v else None
-      | Ext (epath, child) ->
-        let p = common_prefix_len epath path in
-        if p = String.length epath then go child (drop path p) else None
-      | Branch (children, bvalue) ->
-        if String.length path = 0 then bvalue
-        else begin
-          match children.(Char.code path.[0]) with
-          | None -> None
-          | Some child -> go child (drop path 1)
-        end
-    in
-    let v = go h (to_nibbles key) in
-    (v, { Siri.nodes = List.rev !nodes })
-
 (* Batched lookup: key paths share every trie node above their divergence
    point, and each visited node's bytes are recorded exactly once — the
    decoded-node cache makes the repeated upper-node visits decode-free, so
@@ -269,6 +245,8 @@ let prove_batch t keys =
     in
     let values = List.map lookup keys in
     (values, { Siri.nodes = List.rev !nodes })
+
+let get_with_proof = Siri.get_with_proof_of prove_batch
 
 (* A subtree whose keys all start with nibble-prefix [p] intersects the
    nibble range [lo, hi] iff p <= hi and (p >= lo or p is a prefix of lo). *)
@@ -406,32 +384,6 @@ let iter t f =
 
 (* --- Client-side verification --- *)
 
-let verify_get ~digest ~key ~value proof =
-  if Hash.is_null digest then value = None && proof.Siri.nodes = []
-  else begin
-    let index = Siri.proof_index proof in
-    let rec go h path =
-      match Hash.Map.find_opt h index with
-      | None -> None
-      | Some bytes ->
-        (match try decode_node bytes with Wire.Malformed _ -> raise Not_found with
-         | Leaf (lpath, v) -> Some (if String.equal lpath path then Some v else None)
-         | Ext (epath, child) ->
-           let p = common_prefix_len epath path in
-           if p = String.length epath then go child (drop path p) else Some None
-         | Branch (children, bvalue) ->
-           if String.length path = 0 then Some bvalue
-           else begin
-             match children.(Char.code path.[0]) with
-             | None -> Some None
-             | Some child -> go child (drop path 1)
-           end)
-    in
-    match go digest (to_nibbles key) with
-    | Some found -> found = value
-    | None | exception Not_found -> false
-  end
-
 (* Batched verification: proof nodes are hashed once and decoded at most once
    for the whole batch; each key's check is then a walk over decoded nodes. *)
 let verify_get_batch ~digest ~items proof =
@@ -473,6 +425,8 @@ let verify_get_batch ~digest ~items proof =
     in
     List.for_all check items
   end
+
+let verify_get = Siri.verify_get_of verify_get_batch
 
 let extract_range ~digest ~lo ~hi proof =
   if Hash.is_null digest then (if proof.Siri.nodes = [] then Some [] else None)

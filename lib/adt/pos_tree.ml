@@ -285,15 +285,15 @@ let remove t key =
       (List.remove_assoc key entries, if present then -1 else 0))
 
 let get t key = Kv_node.get t.store t.root key
-let get_with_proof t key = Kv_node.get_with_proof t.store t.root key
 let prove_batch t keys = Kv_node.prove_batch t.store t.root keys
+let get_with_proof = Siri.get_with_proof_of prove_batch
 let range t ~lo ~hi = Kv_node.range t.store t.root ~lo ~hi
 let range_with_proof t ~lo ~hi = Kv_node.range_with_proof t.store t.root ~lo ~hi
 let split_points t ~lo ~hi ~parts = Kv_node.split_points t.store t.root ~lo ~hi ~parts
 let iter t f = Kv_node.iter t.store t.root f
 
-let verify_get = Kv_node.verify_get
 let verify_get_batch = Kv_node.verify_get_batch
+let verify_get = Siri.verify_get_of verify_get_batch
 let verify_range = Kv_node.verify_range
 let extract_range = Kv_node.extract_range
 let iter_nodes = Kv_node.iter_nodes

@@ -46,6 +46,16 @@ let decode_proof data = Spitz_storage.Wire.decode "Siri.decode_proof" read_proof
 
 let proof_wire_bytes p = String.length (encode_proof p)
 
+(* A point read is a batch of one key: every index derives its single-key
+   proof and check from [prove_batch] and [verify_get_batch], so each has one
+   proof traversal and one verify walk. *)
+let get_with_proof_of prove_batch t key =
+  let values, proof = prove_batch t [ key ] in
+  (List.hd values, proof)
+
+let verify_get_of verify_get_batch ~digest ~key ~value proof =
+  verify_get_batch ~digest ~items:[ (key, value) ] proof
+
 module type S = sig
   type t
 
@@ -80,14 +90,15 @@ module type S = sig
   val get : t -> string -> string option
 
   val get_with_proof : t -> string -> string option * proof
-  (** Result plus a proof of presence (or absence) under [root_digest]. *)
+  (** Result plus a proof of presence (or absence) under [root_digest]:
+      {!prove_batch} of the one key. *)
 
   val prove_batch : t -> string list -> string option list * proof
-  (** Batched {!get_with_proof}: values for the keys (in input order) plus
-      {e one} proof covering all of them. Path proofs are gathered in a
-      single traversal and shared upper nodes are encoded exactly once, so
-      the batched proof is never larger — and for co-anchored keys strictly
-      smaller — than the union of per-key proofs. *)
+  (** Values for the keys (in input order) plus {e one} proof covering all
+      of them. Path proofs are gathered in a single traversal and shared
+      upper nodes are encoded exactly once, so the batched proof is never
+      larger — and for co-anchored keys strictly smaller — than the union
+      of per-key proofs. This is the index's one proof traversal. *)
 
   val range : t -> lo:string -> hi:string -> (string * string) list
   (** Entries with [lo <= key <= hi], in key order. *)
@@ -107,15 +118,16 @@ module type S = sig
 
   val verify_get : digest:Hash.t -> key:string -> value:string option -> proof -> bool
   (** Client-side check that [value] is exactly what the index committed to by
-      [digest] holds for [key] ([None] = proven absent). *)
+      [digest] holds for [key] ([None] = proven absent): {!verify_get_batch}
+      of the one claim. *)
 
   val verify_get_batch :
     digest:Hash.t -> items:(string * string option) list -> proof -> bool
-  (** Batched {!verify_get}: check every (key, claimed value) pair against
-      one shared proof. Each proof node is content-addressed (hashed) once
-      and decoded at most once across the whole batch, instead of per key —
-      this is where batched verification earns its throughput. True iff
-      {e every} claim checks out. *)
+  (** Check every (key, claimed value) pair against one shared proof. Each
+      proof node is content-addressed (hashed) once and decoded at most once
+      across the whole batch, instead of per key — this is where batched
+      verification earns its throughput. True iff {e every} claim checks
+      out. This is the index's one verify walk. *)
 
   val verify_range :
     digest:Hash.t -> lo:string -> hi:string -> entries:(string * string) list ->

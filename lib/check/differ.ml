@@ -113,7 +113,7 @@ let check_spitz (tr : Trace.trace) =
    | Some p ->
      let items = List.combine keys values in
      if not (Db.verify_batch_read ~digest ~items p) then fail "batch proof does not verify";
-     let p' = Db.L.decode_batch_proof (Db.L.encode_batch_proof p) in
+     let p' = Db.L.decode_read_proof (Db.L.encode_read_proof p) in
      if not (Db.verify_batch_read ~digest ~items p') then
        fail "batch proof does not survive a wire round-trip");
   (* historical reads at every committed height *)

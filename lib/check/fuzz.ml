@@ -175,13 +175,11 @@ module MakeTargets (S : Spitz_adt.Siri.S) = struct
       let items = List.combine keys values in
       {
         tname = S.name ^ "/batch_proof";
-        encoded = L.encode_batch_proof p;
+        encoded = L.encode_read_proof p;
         classify =
-          classify_with ~decode:L.decode_batch_proof
+          classify_with ~decode:L.decode_read_proof
             ~verify:(fun q -> L.verify_batch_read ~digest ~items q)
-            ~normalize:(fun q ->
-                L.encode_batch_proof
-                  { q with L.brp_digest = p.L.brp_digest; L.brp_index = canon_index q.L.brp_index })
+            ~normalize:(fun q -> norm_read q p.L.rp_digest)
             ~honest:p;
       }
     in

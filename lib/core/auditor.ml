@@ -17,11 +17,6 @@ let ledger t = t.ledger
 let height t = L.height t.ledger
 let digest t = L.digest t.ledger
 
-(* Proof retrieval for the read path (section 5.1, read step 3). *)
-let get_with_proof t key = L.get_with_proof t.ledger key
-let get_batch_with_proof t keys = L.get_batch_with_proof t.ledger keys
-let range_with_proof t ~lo ~hi = L.range_with_proof t.ledger ~lo ~hi
-
 (* Write receipts for the write path (section 5.1, write step 2). *)
 let receipts t ~height = L.write_receipts t.ledger ~height
 

@@ -18,15 +18,6 @@ val ledger : t -> L.t
 val height : t -> int
 val digest : t -> Journal.digest
 
-val get_with_proof : t -> string -> string option * L.read_proof option
-val get_batch_with_proof :
-  t -> string list -> string option list * L.batch_read_proof option
-(** Batched read path: one proof — a single journal anchor plus the
-    deduplicated union of the keys' index paths — for the whole key set. *)
-
-val range_with_proof :
-  t -> lo:string -> hi:string -> (string * string) list * L.read_proof option
-
 val receipts : t -> height:int -> L.write_receipt list
 (** Write receipts for every entry of a committed block. *)
 

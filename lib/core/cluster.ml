@@ -89,7 +89,9 @@ module Partitioned = struct
      shard a key lives on; any failed lock aborts the whole transaction. The
      commit applies one ledger block per participating shard, all tagged with
      the same global transaction statement, so an auditor can correlate the
-     per-shard blocks of one transaction. *)
+     per-shard blocks of one transaction. This is the system's one 2PC.
+     Prepare writes no log record: the shards are in-memory databases, so
+     there is no log to make it durable in. *)
   let put_all t kvs =
     let txn = t.next_txn in
     t.next_txn <- txn + 1;

@@ -197,19 +197,16 @@ let get_at t ~height key =
   let column, pk = cell_of t key in
   Cell_store.read_value ~ts:height t.cells ~column ~pk
 
-let get_verified t key =
-  (* unified index: value and proof from one ledger traversal *)
-  Auditor.get_with_proof t.auditor key
-
-let get_batch_verified t keys =
-  (* one traversal, one proof for the whole key set *)
-  Auditor.get_batch_with_proof t.auditor keys
+(* unified index: values and one proof from one ledger traversal; a point
+   read is a batch of one key *)
+let get_verified t key = L.get_with_proof (ledger t) key
+let get_batch_verified t keys = L.get_batch_with_proof (ledger t) keys
 
 (* from the head's index, like [range_verified]: every ledger key in range,
    whatever column [Universal_key.split] files it under *)
 let range t ~lo ~hi = L.range (ledger t) ~lo ~hi
 
-let range_verified t ~lo ~hi = Auditor.range_with_proof t.auditor ~lo ~hi
+let range_verified t ~lo ~hi = L.range_with_proof (ledger t) ~lo ~hi
 
 let history t key =
   let column, pk = cell_of t key in

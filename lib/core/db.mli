@@ -86,10 +86,10 @@ val get_at : t -> height:int -> string -> string option
 
 val get_verified : t -> string -> string option * L.read_proof option
 (** Value plus its integrity proof from the unified index ([None] proof only
-    on an empty database). *)
+    on an empty database): {!get_batch_verified} of the one key. *)
 
 val get_batch_verified :
-  t -> string list -> string option list * L.batch_read_proof option
+  t -> string list -> string option list * L.read_proof option
 (** Values for the keys (in input order) plus {e one} proof for the whole
     set: a single journal anchor and the deduplicated union of the keys'
     index paths — smaller to ship and cheaper to verify than per-key
@@ -130,7 +130,8 @@ val snapshot : ?height:int -> t -> snapshot option
 
 val proof_cache_stats : unit -> Spitz_storage.Node_cache.stats
 (** Hit/miss/eviction counters of the server-side proof cache (memoized
-    get/batch/range proof construction, keyed by index root + key set). *)
+    get/batch and range proof construction, keyed by index root + key
+    list or bounds). *)
 
 val reset_proof_cache_stats : unit -> unit
 
@@ -163,7 +164,7 @@ module Snapshot : sig
 
   val get_verified : snapshot -> string -> string option * L.read_proof
   val get_batch_verified :
-    snapshot -> string list -> string option list * L.batch_read_proof
+    snapshot -> string list -> string option list * L.read_proof
   val range_verified :
     snapshot -> lo:string -> hi:string -> (string * string) list * L.read_proof
   (** Verified reads from the pinned state; proof construction is memoized
@@ -196,9 +197,9 @@ val verify_read :
 
 val verify_batch_read :
   digest:Journal.digest -> items:(string * string option) list ->
-  L.batch_read_proof -> bool
+  L.read_proof -> bool
 (** Check every (key, claimed value) pair of a batched read against its one
-    proof. *)
+    proof; [verify_read] is this for one pair. *)
 
 val verify_range :
   digest:Journal.digest -> lo:string -> hi:string ->

@@ -232,6 +232,9 @@ module Make (Index : Siri.S) = struct
       (fun (k, tagged) -> Option.map (fun v -> (k, v)) (untag tagged))
       (Index.range (current_index t) ~lo ~hi)
 
+  (* One envelope for every verified read — a point read, a batch, a range:
+     a single journal inclusion proof anchors the block, and the index part
+     is the deduplicated union of the path nodes the read traversed. *)
   type read_proof = {
     rp_height : int;              (* block whose index instance served the read *)
     rp_header : Block.header;
@@ -243,52 +246,45 @@ module Make (Index : Siri.S) = struct
   (* --- Server-side proof cache --- *)
 
   (* Proof construction (the index-path half of a read proof) is memoized,
-     keyed by [(index root, key set)]. The root is a content address, so an
+     keyed by [(index root, key list)] for point and batch reads and by
+     [(index root, lo, hi)] for ranges. The root is a content address, so an
      entry can never go stale: a commit produces a new root, and the new
      root is a new cache key — that *is* the invalidation protocol, with no
      commit-path bookkeeping. Entries under superseded roots keep serving
      snapshot readers pinned at those roots until LRU pressure ages them
      out. One cache per proof shape, shared by every ledger instance of
      this index family (sound by the same content-addressing argument). *)
-  let get_proof_cache : (string option * Siri.proof) Node_cache.t =
+  let get_proof_cache : (string option list * Siri.proof) Node_cache.t =
     Node_cache.create ~capacity:8192 ()
-
-  let batch_proof_cache : (string option list * Siri.proof) Node_cache.t =
-    Node_cache.create ~capacity:2048 ()
 
   let range_proof_cache : ((string * string) list * Siri.proof) Node_cache.t =
     Node_cache.create ~capacity:512 ()
 
   let proof_cache_stats () =
     let a = Node_cache.stats get_proof_cache in
-    let b = Node_cache.stats batch_proof_cache in
-    let c = Node_cache.stats range_proof_cache in
+    let b = Node_cache.stats range_proof_cache in
     {
-      Node_cache.hits = a.Node_cache.hits + b.Node_cache.hits + c.Node_cache.hits;
-      misses = a.Node_cache.misses + b.Node_cache.misses + c.Node_cache.misses;
-      evictions = a.Node_cache.evictions + b.Node_cache.evictions + c.Node_cache.evictions;
+      Node_cache.hits = a.Node_cache.hits + b.Node_cache.hits;
+      misses = a.Node_cache.misses + b.Node_cache.misses;
+      evictions = a.Node_cache.evictions + b.Node_cache.evictions;
     }
 
   let reset_proof_cache_stats () =
     Node_cache.reset_stats get_proof_cache;
-    Node_cache.reset_stats batch_proof_cache;
     Node_cache.reset_stats range_proof_cache
 
   let clear_proof_cache () =
     Node_cache.clear get_proof_cache;
-    Node_cache.clear batch_proof_cache;
     Node_cache.clear range_proof_cache
 
   (* Cache keys hash a domain tag, the 32-byte root, and the length-prefixed
-     key material — unambiguous, so two distinct key sets cannot collide
+     key material — unambiguous, so two distinct key lists cannot collide
      except by breaking SHA-256. *)
   let len_pfx s = string_of_int (String.length s) ^ ":"
 
-  let get_cache_key ~root key = Hash.of_strings [ "spitz.proof.get"; Hash.to_raw root; key ]
-
-  let batch_cache_key ~root keys =
+  let get_cache_key ~root keys =
     Hash.of_strings
-      ("spitz.proof.batch" :: Hash.to_raw root
+      ("spitz.proof.get" :: Hash.to_raw root
        :: List.concat_map (fun k -> [ len_pfx k; k ]) keys)
 
   let range_cache_key ~root ~lo ~hi =
@@ -324,13 +320,18 @@ module Make (Index : Siri.S) = struct
 
   let snap_split_points s ~lo ~hi ~parts = Index.split_points s.s_index ~lo ~hi ~parts
 
-  let snap_get_with_proof s key =
+  (* A point read is a batch of one key: one proof path, one cache. *)
+  let snap_get_batch_with_proof s keys =
     let tagged, rp_index =
       Node_cache.find_or_add get_proof_cache
-        (get_cache_key ~root:s.s_header.Block.index_root key)
-        ~load:(fun () -> Index.get_with_proof s.s_index key)
+        (get_cache_key ~root:s.s_header.Block.index_root keys)
+        ~load:(fun () -> Index.prove_batch s.s_index keys)
     in
-    (Option.bind tagged untag, snap_envelope s rp_index)
+    (List.map (fun tv -> Option.bind tv untag) tagged, snap_envelope s rp_index)
+
+  let snap_get_with_proof s key =
+    let values, proof = snap_get_batch_with_proof s [ key ] in
+    (List.hd values, proof)
 
   let snap_range_with_proof s ~lo ~hi =
     let visible, rp_index =
@@ -354,61 +355,6 @@ module Make (Index : Siri.S) = struct
       let v, p = snap_get_with_proof s key in
       (v, Some p)
 
-  let range_with_proof t ~lo ~hi =
-    match snapshot t with
-    | None -> ([], None)
-    | Some s ->
-      let entries, p = snap_range_with_proof s ~lo ~hi in
-      (entries, Some p)
-
-  (* Client side: check the block under the journal digest, then the value
-     under the block's index root. A [None] result must be proven as either
-     absence or a tombstone. The two halves are exposed separately so a
-     verifier batching many reads anchored at the same digest can pay the
-     journal-inclusion check once per block instead of once per key. *)
-  let verify_read_anchor ~digest proof =
-    Journal.verify_inclusion ~digest ~height:proof.rp_height ~header:proof.rp_header
-      proof.rp_journal
-
-  let verify_read_at_root ~key ~value proof =
-    let index_root = proof.rp_header.Block.index_root in
-    match value with
-    | Some v -> Index.verify_get ~digest:index_root ~key ~value:(Some (tag_value v)) proof.rp_index
-    | None ->
-      Index.verify_get ~digest:index_root ~key ~value:None proof.rp_index
-      || Index.verify_get ~digest:index_root ~key ~value:(Some tombstone) proof.rp_index
-
-  let verify_read ~digest ~key ~value proof =
-    verify_read_anchor ~digest proof && verify_read_at_root ~key ~value proof
-
-  (* --- Batched reads --- *)
-
-  (* One proof for a whole key set: a single journal inclusion proof anchors
-     the block, and the index part is the deduplicated union of the keys'
-     path nodes, gathered in one traversal ({!Siri.S.prove_batch}). *)
-  type batch_read_proof = {
-    brp_height : int;             (* block whose index instance served the reads *)
-    brp_header : Block.header;
-    brp_journal : Merkle.inclusion_proof;
-    brp_digest : Journal.digest;  (* journal digest the proof is rooted in *)
-    brp_index : Siri.proof;       (* one deduplicated proof covering every key *)
-  }
-
-  let snap_get_batch_with_proof s keys =
-    let tagged, brp_index =
-      Node_cache.find_or_add batch_proof_cache
-        (batch_cache_key ~root:s.s_header.Block.index_root keys)
-        ~load:(fun () -> Index.prove_batch s.s_index keys)
-    in
-    ( List.map (fun tv -> Option.bind tv untag) tagged,
-      {
-        brp_height = s.s_height;
-        brp_header = s.s_header;
-        brp_journal = s.s_journal;
-        brp_digest = s.s_digest;
-        brp_index;
-      } )
-
   let get_batch_with_proof t keys =
     match snapshot t with
     | None -> (List.map (fun _ -> None) keys, None)
@@ -416,33 +362,50 @@ module Make (Index : Siri.S) = struct
       let values, p = snap_get_batch_with_proof s keys in
       (values, Some p)
 
-  let verify_batch_anchor ~digest proof =
-    Journal.verify_inclusion ~digest ~height:proof.brp_height ~header:proof.brp_header
-      proof.brp_journal
+  let range_with_proof t ~lo ~hi =
+    match snapshot t with
+    | None -> ([], None)
+    | Some s ->
+      let entries, p = snap_range_with_proof s ~lo ~hi in
+      (entries, Some p)
+
+  (* Client side: check the block under the journal digest, then every
+     claimed value under the block's index root. The two halves are exposed
+     separately so a verifier batching many reads anchored at the same
+     digest can pay the journal-inclusion check once per block instead of
+     once per read. *)
+  let verify_read_anchor ~digest proof =
+    Journal.verify_inclusion ~digest ~height:proof.rp_height ~header:proof.rp_header
+      proof.rp_journal
 
   (* A [None] claim is "absent OR tombstoned". The fast path reads every
      [None] as genuine absence and settles the whole batch in one
      {!Siri.S.verify_get_batch} call — a single proof-index build (each node
      hashed once) for all keys. Only a batch whose [None] keys include
-     tombstones misses it and falls back to the per-key disjunction. *)
+     tombstones misses it and falls back to the per-key disjunction, which
+     tries the tombstone first: the fast path has just read the key as
+     absent, so for a one-key read that is the only check left. *)
   let verify_batch_at_root ~items proof =
-    let index_root = proof.brp_header.Block.index_root in
+    let index_root = proof.rp_header.Block.index_root in
     let as_absent = List.map (fun (k, v) -> (k, Option.map tag_value v)) items in
-    Index.verify_get_batch ~digest:index_root ~items:as_absent proof.brp_index
+    Index.verify_get_batch ~digest:index_root ~items:as_absent proof.rp_index
     || begin
       let present = List.filter (fun (_, v) -> v <> None) as_absent in
       let absent = List.filter_map (fun (k, v) -> if v = None then Some k else None) items in
-      (present = [] || Index.verify_get_batch ~digest:index_root ~items:present proof.brp_index)
+      (present = [] || Index.verify_get_batch ~digest:index_root ~items:present proof.rp_index)
       && List.for_all
            (fun k ->
-              Index.verify_get_batch ~digest:index_root ~items:[ (k, None) ] proof.brp_index
-              || Index.verify_get_batch ~digest:index_root ~items:[ (k, Some tombstone) ]
-                   proof.brp_index)
+              Index.verify_get_batch ~digest:index_root ~items:[ (k, Some tombstone) ]
+                proof.rp_index
+              || Index.verify_get_batch ~digest:index_root ~items:[ (k, None) ] proof.rp_index)
            absent
     end
 
   let verify_batch_read ~digest ~items proof =
-    verify_batch_anchor ~digest proof && verify_batch_at_root ~items proof
+    verify_read_anchor ~digest proof && verify_batch_at_root ~items proof
+
+  let verify_read ~digest ~key ~value proof =
+    verify_batch_read ~digest ~items:[ (key, value) ] proof
 
   let verify_range_at_root ~lo ~hi ~entries proof =
     let index_root = proof.rp_header.Block.index_root in
@@ -560,21 +523,6 @@ module Make (Index : Siri.S) = struct
     let rp_index = Siri.read_proof r in
     { rp_height; rp_header; rp_journal; rp_digest; rp_index }
 
-  let write_batch_proof buf p =
-    Wire.write_varint buf p.brp_height;
-    Block.encode_header buf p.brp_header;
-    Merkle.write_proof buf p.brp_journal;
-    Journal.write_digest buf p.brp_digest;
-    Siri.write_proof buf p.brp_index
-
-  let read_batch_proof r =
-    let brp_height = Wire.read_varint r in
-    let brp_header = Block.decode_header r in
-    let brp_journal = Merkle.read_proof r in
-    let brp_digest = Journal.read_digest r in
-    let brp_index = Siri.read_proof r in
-    { brp_height; brp_header; brp_journal; brp_digest; brp_index }
-
   let write_receipt_wire buf w =
     Wire.write_varint buf w.wr_height;
     Block.encode_header buf w.wr_header;
@@ -606,8 +554,6 @@ module Make (Index : Siri.S) = struct
 
   let encode_read_proof p = encode_with write_read_proof p
   let decode_read_proof data = decode_with "Ledger.decode_read_proof" read_read_proof data
-  let encode_batch_proof p = encode_with write_batch_proof p
-  let decode_batch_proof data = decode_with "Ledger.decode_batch_proof" read_batch_proof data
   let encode_receipt w = encode_with write_receipt_wire w
   let decode_receipt data = decode_with "Ledger.decode_receipt" read_receipt_wire data
 

@@ -67,48 +67,40 @@ module Make (Index : Siri.S) : sig
     rp_header : Block.header;
     rp_journal : Merkle.inclusion_proof;
     rp_digest : Journal.digest; (** digest the proof is rooted in *)
-    rp_index : Siri.proof;
+    rp_index : Siri.proof;      (** one deduplicated proof covering every key read *)
   }
+  (** The one proof envelope, for point, batch and range reads alike: one
+      journal inclusion proof anchors the block, and the index part is the
+      deduplicated union of the path nodes the read traversed. A point read
+      is a batch of one key, byte for byte. *)
 
   val get_with_proof : t -> string -> string option * read_proof option
+  (** {!get_batch_with_proof} of the one key. *)
+
+  val get_batch_with_proof : t -> string list -> string option list * read_proof option
+  (** Values for the keys (in input order, [None] = absent or deleted) plus
+      one proof covering them all; [None] proof on an empty ledger. *)
+
   val range_with_proof :
     t -> lo:string -> hi:string -> (string * string) list * read_proof option
 
-  val verify_read :
-    digest:Journal.digest -> key:string -> value:string option -> read_proof -> bool
-  (** Client side: block under the digest, then value (or proven absence /
-      tombstone) under the block's index root. *)
+  val verify_batch_read :
+    digest:Journal.digest -> items:(string * string option) list -> read_proof -> bool
+  (** Client side: the block under the digest, then every (key, claimed
+      value) pair — [None] = proven absent or tombstoned — under the block's
+      index root. True iff the anchor holds and {e every} claim checks
+      out. *)
 
   val verify_read_anchor : digest:Journal.digest -> read_proof -> bool
-  val verify_read_at_root : key:string -> value:string option -> read_proof -> bool
-  (** The two halves of {!verify_read} — journal inclusion, index lookup — so
-      a batching verifier can pay the anchor check once per block instead of
-      once per key. [verify_read = anchor && at_root]. *)
+  val verify_batch_at_root : items:(string * string option) list -> read_proof -> bool
+  (** The two halves of {!verify_batch_read} — journal inclusion, index
+      lookups — so a batching verifier can pay the anchor check once per
+      block instead of once per read. [verify_batch_read = anchor &&
+      at_root]. *)
 
-  type batch_read_proof = {
-    brp_height : int;            (** block whose index instance served the reads *)
-    brp_header : Block.header;
-    brp_journal : Merkle.inclusion_proof;
-    brp_digest : Journal.digest; (** digest the proof is rooted in *)
-    brp_index : Siri.proof;      (** one deduplicated proof covering every key *)
-  }
-  (** Proof for a whole key set, anchored at a single journal digest: one
-      journal inclusion proof per block instead of one per key, and the index
-      part is the deduplicated union of the keys' path nodes. *)
-
-  val get_batch_with_proof : t -> string list -> string option list * batch_read_proof option
-  (** Values for the keys (in input order, [None] = absent or deleted) plus
-      one batched proof; [None] proof on an empty ledger. *)
-
-  val verify_batch_read :
-    digest:Journal.digest -> items:(string * string option) list -> batch_read_proof -> bool
-  (** Check every (key, claimed value) pair against the one batched proof.
-      True iff the anchor holds and {e every} claim checks out. *)
-
-  val verify_batch_anchor : digest:Journal.digest -> batch_read_proof -> bool
-  val verify_batch_at_root : items:(string * string option) list -> batch_read_proof -> bool
-  (** The two halves of {!verify_batch_read}, mirroring
-      {!verify_read_anchor} / {!verify_read_at_root}. *)
+  val verify_read :
+    digest:Journal.digest -> key:string -> value:string option -> read_proof -> bool
+  (** {!verify_batch_read} of the one claim. *)
 
   (** {1 Snapshot reads}
 
@@ -148,27 +140,30 @@ module Make (Index : Siri.S) : sig
   (** [Siri.S.split_points] of the pinned instance — cut points a parallel
       range scan fans out over. *)
 
-  val snap_get_with_proof : snapshot -> string -> string option * read_proof
   val snap_get_batch_with_proof :
-    snapshot -> string list -> string option list * batch_read_proof
+    snapshot -> string list -> string option list * read_proof
+  val snap_get_with_proof : snapshot -> string -> string option * read_proof
   val snap_range_with_proof :
     snapshot -> lo:string -> hi:string -> (string * string) list * read_proof
   (** Reads against the pinned instance; the [_with_proof] forms consult the
-      proof cache. [get_with_proof] / [get_batch_with_proof] /
+      proof cache. [snap_get_with_proof] is [snap_get_batch_with_proof] of
+      the one key. [get_batch_with_proof] / [get_with_proof] /
       [range_with_proof] on the ledger are these same functions applied to
       {!snapshot}. *)
 
   (** {2 Server-side proof cache}
 
-      Index-path proof construction is memoized keyed by (index root, key
-      set). Roots are content addresses, so a new commit's new root is a new
-      cache key — that is the whole invalidation protocol; entries under
-      superseded roots serve snapshot readers still pinned there until LRU
-      pressure evicts them. The cache is per index family (shared by every
-      ledger instance of this functor instantiation). *)
+      Index-path proof construction is memoized in two caches: one keyed by
+      (index root, key list) for point and batch reads, one keyed by (index
+      root, lo, hi) for ranges. Roots are content addresses, so a new
+      commit's new root is a new cache key — that is the whole invalidation
+      protocol; entries under superseded roots serve snapshot readers still
+      pinned there until LRU pressure evicts them. The caches are per index
+      family (shared by every ledger instance of this functor
+      instantiation). *)
 
   val proof_cache_stats : unit -> Spitz_storage.Node_cache.stats
-  (** Merged hit/miss/eviction counters over the get/batch/range proof
+  (** Merged hit/miss/eviction counters over the get and range proof
       caches. *)
 
   val reset_proof_cache_stats : unit -> unit
@@ -229,11 +224,6 @@ module Make (Index : Siri.S) : sig
   val read_read_proof : Spitz_storage.Wire.reader -> read_proof
   val encode_read_proof : read_proof -> string
   val decode_read_proof : string -> read_proof
-
-  val write_batch_proof : Spitz_storage.Wire.writer -> batch_read_proof -> unit
-  val read_batch_proof : Spitz_storage.Wire.reader -> batch_read_proof
-  val encode_batch_proof : batch_read_proof -> string
-  val decode_batch_proof : string -> batch_read_proof
 
   val write_receipt_wire : Spitz_storage.Wire.writer -> write_receipt -> unit
   val read_receipt_wire : Spitz_storage.Wire.reader -> write_receipt

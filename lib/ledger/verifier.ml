@@ -16,7 +16,7 @@ module Make (Index : Siri.S) = struct
   type mode = Online | Deferred of int
 
   type check =
-    | Read of string * string option * L.read_proof
+    | Read of (string * string option) list * L.read_proof
     | Range of string * string * (string * string) list * L.read_proof
     | Write of L.write_receipt
 
@@ -82,9 +82,9 @@ module Make (Index : Siri.S) = struct
       | None -> false
       | Some _ ->
         (match check with
-         | Read (key, value, proof) ->
+         | Read (items, proof) ->
            is_trusted t proof.L.rp_digest
-           && L.verify_read ~digest:proof.L.rp_digest ~key ~value proof
+           && L.verify_batch_read ~digest:proof.L.rp_digest ~items proof
          | Range (lo, hi, entries, proof) ->
            is_trusted t proof.L.rp_digest
            && L.verify_range ~digest:proof.L.rp_digest ~lo ~hi ~entries proof
@@ -110,9 +110,11 @@ module Make (Index : Siri.S) = struct
      - the journal-inclusion anchor is proven once per distinct
        (digest, height, header) unit — many reads against one block share a
        single anchor check instead of paying one each;
-     - read claims whose (index root, key, value) triple was already proven
-       (earlier flush or earlier in this one) are skipped entirely via the
-       persistent verified-set cache;
+     - read claims whose (index root, key, value) triple an earlier flush
+       proved are skipped entirely via the persistent verified-set cache; a
+       read's remaining claims are checked together, as one job against its
+       one proof, shared by every read of this flush that claims the same
+       set;
      - the remaining jobs are pure functions of their proofs, so with a pool
        attached they run in parallel; counters and caches are then settled
        serially in submission order, making the outcome — decisions and
@@ -135,17 +137,18 @@ module Make (Index : Siri.S) = struct
     in
     let anchor_jobs = Hashtbl.create 16 in
     let claim_jobs = Hashtbl.create 64 in
+    (* One job per distinct key; a later check with the same key waits on it. *)
+    let job_for table key thunk =
+      match Hashtbl.find_opt table key with
+      | Some i -> i
+      | None ->
+        let i = add_job thunk in
+        Hashtbl.replace table key i;
+        i
+    in
     (* [None] = already proven (cache hit); [Some i] = wait for job [i]. *)
     let shared_job table cache key thunk =
-      if Hashtbl.mem cache key then None
-      else
-        Some
-          (match Hashtbl.find_opt table key with
-           | Some i -> i
-           | None ->
-             let i = add_job thunk in
-             Hashtbl.replace table key i;
-             i)
+      if Hashtbl.mem cache key then None else Some (job_for table key thunk)
     in
     (* Per check: (digest trusted, job indices that must all succeed). *)
     let plan check =
@@ -153,7 +156,7 @@ module Make (Index : Siri.S) = struct
       | None -> (false, [])
       | Some _ ->
         (match check with
-         | Read (key, value, proof) ->
+         | Read (items, proof) ->
            if not (is_trusted t proof.L.rp_digest) then (false, [])
            else begin
              let digest = proof.L.rp_digest in
@@ -161,10 +164,18 @@ module Make (Index : Siri.S) = struct
                shared_job anchor_jobs t.anchors (read_anchor_key proof)
                  (fun () -> L.verify_read_anchor ~digest proof)
              in
+             let root = proof.L.rp_header.Block.index_root in
+             (* claims proven earlier are skipped; the rest are one job,
+                shared by every read of this flush that claims the same set *)
              let c =
-               shared_job claim_jobs t.verified
-                 (proof.L.rp_header.Block.index_root, key, value)
-                 (fun () -> L.verify_read_at_root ~key ~value proof)
+               match
+                 List.filter (fun (k, v) -> not (Hashtbl.mem t.verified (root, k, v))) items
+               with
+               | [] -> None
+               | fresh ->
+                 Some
+                   (job_for claim_jobs (root, fresh) (fun () ->
+                        L.verify_batch_at_root ~items:fresh proof))
              in
              (true, List.filter_map Fun.id [ a; c ])
            end
@@ -203,7 +214,11 @@ module Make (Index : Siri.S) = struct
     (* Serial stage: promote proven units into the persistent caches, then
        settle counters in submission order. *)
     Hashtbl.iter (fun k i -> if results.(i) then Hashtbl.replace t.anchors k ()) anchor_jobs;
-    Hashtbl.iter (fun k i -> if results.(i) then Hashtbl.replace t.verified k ()) claim_jobs;
+    Hashtbl.iter
+      (fun (root, claims) i ->
+         if results.(i) then
+           List.iter (fun (k, v) -> Hashtbl.replace t.verified (root, k, v) ()) claims)
+      claim_jobs;
     List.fold_left
       (fun acc (trusted, requires) ->
          let ok = trusted && List.for_all (fun i -> results.(i)) requires in
@@ -222,7 +237,8 @@ module Make (Index : Siri.S) = struct
       t.pending_count <- t.pending_count + 1;
       if t.pending_count >= batch then Some (flush t) else None
 
-  let submit_read t ~key ~value proof = submit t (Read (key, value, proof))
+  let submit_read t ~key ~value proof = submit t (Read ([ (key, value) ], proof))
+  let submit_batch t ~items proof = submit t (Read (items, proof))
   let submit_range t ~lo ~hi ~entries proof = submit t (Range (lo, hi, entries, proof))
   let submit_write t receipt = submit t (Write receipt)
 end

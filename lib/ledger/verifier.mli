@@ -12,7 +12,9 @@ module Make (Index : Siri.S) : sig
   type mode = Online | Deferred of int
 
   type check =
-    | Read of string * string option * L.read_proof
+    | Read of (string * string option) list * L.read_proof
+        (** (key, claimed value) pairs under one read proof — a point read
+            is one pair; [None] = proven absent or deleted *)
     | Range of string * string * (string * string) list * L.read_proof
     | Write of L.write_receipt
 
@@ -41,6 +43,13 @@ module Make (Index : Siri.S) : sig
       [None] when queued. *)
 
   val submit_read : t -> key:string -> value:string option -> L.read_proof -> bool option
+  (** {!submit_batch} of one (key, value) pair. *)
+
+  val submit_batch :
+    t -> items:(string * string option) list -> L.read_proof -> bool option
+  (** A batch read: every pair checked against its one proof, counted as one
+      check. *)
+
   val submit_range :
     t -> lo:string -> hi:string -> entries:(string * string) list -> L.read_proof ->
     bool option
@@ -49,10 +58,12 @@ module Make (Index : Siri.S) : sig
   val flush : t -> bool
   (** Verify everything queued; [true] iff all passed. Queued checks are
       coalesced first: one journal-anchor job per distinct (digest, height,
-      header) unit, and read claims whose (index root, key, value) triple was
-      already proven — in an earlier flush or earlier in this one — are
-      skipped via a persistent verified-set cache. The surviving jobs run on
-      the pool when one is attached. *)
+      header) unit; read claims whose (index root, key, value) triple an
+      earlier flush proved are skipped via a persistent verified-set cache;
+      and a read's remaining claims form one job against its proof, shared
+      by every read of the flush that claims the same set. The surviving
+      jobs run on the pool when one is attached. Online mode keeps no claim
+      cache. *)
 end
 
 module Default : module type of Make (Merkle_bptree)

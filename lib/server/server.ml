@@ -124,7 +124,7 @@ let serve t (req : Ipc.request) : Ipc.response =
     | None -> Ipc.Error "empty database"
     | Some snap ->
       let values, proof = Db.Snapshot.get_batch_verified snap keys in
-      Ipc.BatchProof (values, Db.L.encode_batch_proof proof))
+      Ipc.BatchProof (values, Db.L.encode_read_proof proof))
   | Ipc.SnapGet (height, k) -> (
     match Db.snapshot ~height db with
     | None -> Ipc.Error "empty database"

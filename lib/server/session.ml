@@ -165,10 +165,10 @@ let get_batch_verified t keys =
     | Ipc.BatchProof (values, proof) ->
       if List.length values <> List.length keys then
         raise (Verification_failed "batch read: wrong arity");
-      let proof = Db.L.decode_batch_proof proof in
-      if not (Db.L.verify_batch_read ~digest:d ~items:(List.combine keys values) proof)
-      then raise (Verification_failed "batch read proof");
-      values
+      let proof = Db.L.decode_read_proof proof in
+      (match Db.V.submit_batch t.verifier ~items:(List.combine keys values) proof with
+       | Some true -> values
+       | _ -> raise (Verification_failed "batch read proof"))
     | _ -> protocol_error "GetBatch")
 
 let range_verified t ~lo ~hi =

@@ -1,21 +1,30 @@
 exception Crash of string
 
-(* name -> remaining hits to survive before raising *)
-let armed_points : (string, int) Hashtbl.t = Hashtbl.create 8
+module Points = Map.Make (String)
 
-let hit name =
-  if Hashtbl.length armed_points > 0 then
-    match Hashtbl.find_opt armed_points name with
+(* name -> remaining hits to survive before raising. An immutable map swapped
+   by compare-and-set, so committing domains can hit points while a test
+   arms them, and every hit is counted exactly once. *)
+let armed_points : int Points.t Atomic.t = Atomic.make Points.empty
+
+let rec update f =
+  let m = Atomic.get armed_points in
+  if not (Atomic.compare_and_set armed_points m (f m)) then update f
+
+let rec hit name =
+  let m = Atomic.get armed_points in
+  if not (Points.is_empty m) then
+    match Points.find_opt name m with
     | None -> ()
-    | Some 0 ->
-      Hashtbl.remove armed_points name;
-      raise (Crash name)
-    | Some n -> Hashtbl.replace armed_points name (n - 1)
+    | Some n ->
+      let m' = if n = 0 then Points.remove name m else Points.add name (n - 1) m in
+      if not (Atomic.compare_and_set armed_points m m') then hit name
+      else if n = 0 then raise (Crash name)
 
-let arm ?(after = 0) name = Hashtbl.replace armed_points name after
-let disarm name = Hashtbl.remove armed_points name
-let reset () = Hashtbl.clear armed_points
-let armed name = Hashtbl.mem armed_points name
+let arm ?(after = 0) name = update (Points.add name after)
+let disarm name = update (Points.remove name)
+let reset () = Atomic.set armed_points Points.empty
+let armed name = Points.mem name (Atomic.get armed_points)
 
 (* --- file corruption helpers --- *)
 

@@ -6,7 +6,7 @@
     exercise recovery — and {e file corruption helpers} (truncate, bit
     flip) for simulating torn writes and bit rot on the log and snapshot
     files. Everything is a no-op unless a test arms it; production code
-    pays one hashtable-is-empty check per crash point. *)
+    pays one atomic load and emptiness check per crash point. *)
 
 exception Crash of string
 (** Raised by {!hit} at an armed crash point; carries the point's name. *)

@@ -203,6 +203,31 @@ module Conformance (S : Siri.S) = struct
          let kv (i, v) = (key_of i, Printf.sprintf "v%d" v) in
          batch_agrees_with_fold ~base:(List.map kv base) (List.map (List.map kv) batches))
 
+  (* Point proofs are pinned byte for byte: one hash per index over the
+     values and encoded proofs of 100 keys (present and absent). Clients
+     verify these bytes, so any change to a proof traversal, its node order
+     or the codec must fail here. *)
+  let pinned_point_proofs =
+    [
+      ("merkle-bptree", "6299a71f29edf99c05d5573b6a2d64243ff2f9e97047212c438ec7d566ad397e");
+      ("mpt", "de05246e6736d9823316fdc340a6ba3f3e34237d192e474d333f3ab49675d9f3");
+      ("mbt", "995abc743401843109cd518ebc18f70afdce6fd4798e552c6464f5b079f0c3c0");
+      ("pos-tree", "0929536576c85a3ce539d219631fd34bf00a662af2aad8ea67d1a993f7ee236d");
+    ]
+
+  let test_point_proofs_pinned () =
+    let t = build 300 in
+    let parts =
+      List.concat_map
+        (fun i ->
+           let key = key_of (i * 5) in
+           let v, p = S.get_with_proof t key in
+           [ key; (match v with None -> "-" | Some v -> "+" ^ v); Siri.encode_proof p ])
+        (List.init 100 Fun.id)
+    in
+    Alcotest.(check string) "point proofs hash" (List.assoc S.name pinned_point_proofs)
+      (Hash.to_hex (Hash.of_strings parts))
+
   let suite name =
     [
       Alcotest.test_case (name ^ ": empty") `Quick test_empty;
@@ -217,6 +242,7 @@ module Conformance (S : Siri.S) = struct
       QCheck_alcotest.to_alcotest prop_model;
       Alcotest.test_case (name ^ ": insert_batch equals fold") `Quick test_insert_batch;
       QCheck_alcotest.to_alcotest prop_insert_batch;
+      Alcotest.test_case (name ^ ": point proofs pinned") `Quick test_point_proofs_pinned;
     ]
 end
 

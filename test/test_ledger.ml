@@ -230,7 +230,7 @@ let test_ledger_batch_reads () =
        ~items:(List.map (fun (k, v) -> (k, if k = "k042" then None else v)) items)
        proof);
   (* one batch proof serializes smaller than the per-key proofs it replaces *)
-  let batch_bytes = String.length (L.encode_batch_proof proof) in
+  let batch_bytes = String.length (L.encode_read_proof proof) in
   let sum_bytes =
     List.fold_left
       (fun acc k ->
@@ -242,12 +242,12 @@ let test_ledger_batch_reads () =
     (Printf.sprintf "batch proof %dB < %dB per-key" batch_bytes sum_bytes)
     true (batch_bytes < sum_bytes);
   (* wire codec *)
-  let decoded = L.decode_batch_proof (L.encode_batch_proof proof) in
+  let decoded = L.decode_read_proof (L.encode_read_proof proof) in
   Alcotest.(check bool) "decoded proof still verifies" true
     (L.verify_batch_read ~digest ~items decoded);
   Alcotest.check_raises "trailing bytes rejected"
-    (Wire.Malformed "Ledger.decode_batch_proof: trailing bytes")
-    (fun () -> ignore (L.decode_batch_proof (L.encode_batch_proof proof ^ "x")));
+    (Wire.Malformed "Ledger.decode_read_proof: trailing bytes")
+    (fun () -> ignore (L.decode_read_proof (L.encode_read_proof proof ^ "x")));
   (* empty ledger: every key absent, no proof to give *)
   let e = L.create (Object_store.create ()) in
   let vs, p = L.get_batch_with_proof e [ "a"; "b" ] in
@@ -394,6 +394,53 @@ let test_verifier_pool_parity () =
   Alcotest.(check int) "all checks counted" 12 checked;
   Alcotest.(check int) "exactly one failure" 1 failures
 
+(* A batch read is one check whatever its size. In deferred mode claims
+   proven in an earlier flush are not re-checked, and a lie in one batch
+   fails that batch alone. Serial and pooled flushes agree. *)
+let test_verifier_batch_reads () =
+  let l = L.create (Object_store.create ()) in
+  ignore (L.commit l (List.init 6 (fun i -> Ledger.Put (Printf.sprintf "k%d" i, string_of_int i))));
+  ignore (L.commit l [ Ledger.Delete "k3" ]);
+  let digest = L.digest l in
+  let batch keys =
+    let values, proof = L.get_batch_with_proof l keys in
+    (List.combine keys values, Option.get proof)
+  in
+  let honest = batch [ "k0"; "k3"; "nope" ] and shared = batch [ "k0"; "k5" ] in
+  let lie =
+    let items, proof = batch [ "k1"; "k2" ] in
+    ((("k1", Some "lie") :: List.tl items), proof)
+  in
+  let online = V.create () in
+  ignore (V.sync online ~digest ~consistency:[]);
+  Alcotest.(check (option bool)) "online batch" (Some true)
+    (V.submit_batch online ~items:(fst honest) (snd honest));
+  Alcotest.(check (option bool)) "online lie" (Some false)
+    (V.submit_batch online ~items:(fst lie) (snd lie));
+  Alcotest.(check (pair int int)) "online counts" (2, 1) (V.checked online, V.failures online);
+  let run client =
+    ignore (V.sync client ~digest ~consistency:[]);
+    let submit (items, proof) = ignore (V.submit_batch client ~items proof) in
+    submit honest;
+    submit shared;
+    let value, proof = L.get_with_proof l "k5" in
+    ignore (V.submit_read client ~key:"k5" ~value (Option.get proof));
+    let first = V.flush client in
+    submit shared;
+    submit lie;
+    let second = V.flush client in
+    (first, second, V.checked client, V.failures client)
+  in
+  let pool = Spitz_exec.Pool.create 2 in
+  let serial = run (V.create ~mode:(V.Deferred 100) ()) in
+  let pooled = run (V.create ~mode:(V.Deferred 100) ~pool ()) in
+  Spitz_exec.Pool.shutdown pool;
+  Alcotest.(check bool) "pool parity" true (serial = pooled);
+  let first, second, checked, failures = serial in
+  Alcotest.(check bool) "honest flush" true first;
+  Alcotest.(check bool) "the lie sinks its flush" false second;
+  Alcotest.(check (pair int int)) "one check per read" (5, 1) (checked, failures)
+
 let test_verifier_rejects_inconsistent_digest () =
   let l1 = L.create (Object_store.create ()) in
   let l2 = L.create (Object_store.create ()) in
@@ -431,6 +478,7 @@ let suite =
     Alcotest.test_case "verifier sync rejects rewrite" `Quick
       test_verifier_sync_rejects_non_append_only;
     Alcotest.test_case "verifier pool parity" `Quick test_verifier_pool_parity;
+    Alcotest.test_case "verifier batch reads" `Quick test_verifier_batch_reads;
     Alcotest.test_case "verifier rejects forks" `Quick test_verifier_rejects_inconsistent_digest;
   ]
 
@@ -481,7 +529,7 @@ module Ledger_conformance (Index : Spitz_adt.Siri.S) = struct
       (LX.verify_batch_read ~digest ~items:(("k01", Some "evil") :: List.tl items) bp);
     Alcotest.(check bool) (Index.name ^ ": batch codec roundtrip") true
       (LX.verify_batch_read ~digest ~items
-         (LX.decode_batch_proof (LX.encode_batch_proof bp)));
+         (LX.decode_read_proof (LX.encode_read_proof bp)));
     Alcotest.(check bool) (Index.name ^ ": audit") true (LX.audit l)
 end
 

@@ -263,6 +263,74 @@ let test_rollback_detected () =
   Alcotest.(check bool) "failure recorded" true (Session.failures s > 0);
   Session.close s
 
+(* --- batch reads go through the session's verifier --- *)
+
+(* A man in the middle between a session and an honest server: it relays
+   one connection's frames and rewrites the proof bytes of every
+   [BatchProof] response with [tamper]. *)
+let with_tampering_proxy server ~tamper f =
+  let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listen_fd 4;
+  let port =
+    match Unix.getsockname listen_fd with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  let relay () =
+    let client, _ = Unix.accept ~cloexec:true listen_fd in
+    let upstream = raw_connect server in
+    (try
+       while true do
+         Frame.write upstream (Frame.read client);
+         let resp =
+           match Ipc.decode_response (Frame.read upstream) with
+           | Ipc.BatchProof (values, proof) -> Ipc.BatchProof (values, tamper proof)
+           | resp -> resp
+         in
+         Frame.write client (Ipc.encode_response resp)
+       done
+     with Frame.Closed | End_of_file | Unix.Unix_error _ -> ());
+    Unix.close client;
+    Unix.close upstream
+  in
+  let relay_thread = Thread.create relay () in
+  Fun.protect
+    ~finally:(fun () ->
+        Thread.join relay_thread;
+        Unix.close listen_fd)
+    (fun () -> f port)
+
+let test_batch_read_counted () =
+  with_server @@ fun _db server ->
+  with_session server @@ fun s ->
+  ignore (Session.put_batch s [ ("a", "1"); ("b", "2"); ("c", "3") ]);
+  let checked = Session.checked s in
+  Alcotest.(check (list (option string)))
+    "values" [ Some "1"; None; Some "3" ]
+    (Session.get_batch_verified s [ "a"; "zz"; "c" ]);
+  Alcotest.(check int) "one check per batch" (checked + 1) (Session.checked s);
+  Alcotest.(check int) "no failures" 0 (Session.failures s)
+
+let test_tampered_batch_rejected () =
+  with_server @@ fun db server ->
+  ignore (Db.put_batch db [ ("a", "1"); ("b", "2"); ("c", "3") ]);
+  (* drop the index proof's last node: the bytes still decode, but the
+     leaf holding the keys is gone *)
+  let drop_last_node bytes =
+    let p = Db.L.decode_read_proof bytes in
+    let nodes = p.Db.L.rp_index.Spitz_adt.Siri.nodes in
+    let kept = List.filteri (fun i _ -> i < List.length nodes - 1) nodes in
+    Db.L.encode_read_proof { p with Db.L.rp_index = { Spitz_adt.Siri.nodes = kept } }
+  in
+  with_tampering_proxy server ~tamper:drop_last_node @@ fun port ->
+  let s = Session.connect ~port () in
+  Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
+  Session.sync s;
+  let failures = Session.failures s in
+  (match Session.get_batch_verified s [ "a"; "zz"; "c" ] with
+   | _ -> Alcotest.fail "a tampered batch proof must be rejected"
+   | exception Session.Verification_failed _ -> ());
+  Alcotest.(check int) "failure counted" (failures + 1) (Session.failures s)
+
 (* --- process-level kill tests over the durable CLI server --- *)
 
 (* Resolve relative to the test binary, so the path holds under both
@@ -438,6 +506,9 @@ let suite =
     Alcotest.test_case "connection cap backpressure" `Quick test_backpressure_cap;
     Alcotest.test_case "idempotent apply across reconnects" `Quick test_idempotent_apply;
     Alcotest.test_case "rollback detected by session sync" `Quick test_rollback_detected;
+    Alcotest.test_case "batch read counted by the verifier" `Quick test_batch_read_counted;
+    Alcotest.test_case "tampered batch proof counted as a failure" `Quick
+      test_tampered_batch_rejected;
     Alcotest.test_case "kill -9: durable acks survive restart" `Quick
       test_kill_durable_acks_survive;
     Alcotest.test_case "kill -9 + torn tail: retry repairs" `Quick

@@ -414,6 +414,41 @@ let test_db_snapshot_parallel_reads () =
             (Db.Snapshot.range ~pool s ~lo:"k010" ~hi:"k150" = serial_range)))
     [ 1; 2; 4 ]
 
+(* Read-proof envelopes pinned byte for byte on a fixed database: a
+   present get, an absent get, a 4-key batch (present, tombstoned, absent)
+   and a 20-key range. These are the bytes that cross the wire to a
+   verifying client, so they must never move. *)
+let test_db_read_proofs_pinned () =
+  let db = Db.open_db () in
+  for b = 0 to 9 do
+    ignore
+      (Db.put_batch db
+         (List.init 100 (fun i ->
+              let n = (b * 100) + i in
+              (Printf.sprintf "row%04d" n, Printf.sprintf "value-%d" n))))
+  done;
+  ignore (Db.delete db "row0500");
+  let pin label expected encoded =
+    Alcotest.(check string) label expected (Hash.to_hex (Hash.of_string encoded))
+  in
+  let _, present = Db.get_verified db "row0042" in
+  pin "present get"
+    "3b3b4e2633ccd97c6d37b9daba3575013ee7ecbcf1d760c004eb1d338998d461"
+    (Db.L.encode_read_proof (Option.get present));
+  let _, absent = Db.get_verified db "row9999" in
+  pin "absent get"
+    "0e1eab878c5aec52544a7c963de5a8010450fad1e7d4dbfc1b551a91a654b26a"
+    (Db.L.encode_read_proof (Option.get absent));
+  let _, batch = Db.get_batch_verified db [ "row0007"; "row0500"; "nope"; "row0999" ] in
+  pin "4-key batch"
+    "f3a191d2788e3936b9681069a943e7a4bd69fde5ee20335f93100c9091998c80"
+    (Db.L.encode_read_proof (Option.get batch));
+  let entries, range = Db.range_verified db ~lo:"row0300" ~hi:"row0319" in
+  Alcotest.(check int) "range rows" 20 (List.length entries);
+  pin "20-key range"
+    "cf0598992bd711649cb391cda9e9f55da98769e48c9b12ca78ac45af8f364e24"
+    (Db.L.encode_read_proof (Option.get range))
+
 let suite =
   [
     Alcotest.test_case "universal key roundtrip" `Quick test_ukey_roundtrip;
@@ -442,4 +477,5 @@ let suite =
       test_db_anchor_pairs_under_commits;
     Alcotest.test_case "db snapshot parallel reads" `Quick
       test_db_snapshot_parallel_reads;
+    Alcotest.test_case "db read proofs pinned" `Quick test_db_read_proofs_pinned;
   ]

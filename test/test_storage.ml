@@ -342,3 +342,32 @@ let suite =
       Alcotest.test_case "node cache consistent stats under domains" `Quick
         test_cache_consistent_stats;
     ]
+
+(* A crash point armed with [~after:n] and hit from several domains must
+   count every hit: exactly one [Crash], on hit n+1. With n+1 equal to the
+   total number of hits, a lost decrement leaves the point armed and
+   nothing raises; two domains both seeing the last count raise twice. *)
+let test_fault_point_across_domains () =
+  let point = "test.fault.domains" and domains = 4 and per_domain = 50_000 in
+  Fun.protect ~finally:Fault.reset @@ fun () ->
+  Fault.arm point ~after:((domains * per_domain) - 1);
+  let start = Atomic.make false in
+  let workers =
+    List.init domains (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get start) do Domain.cpu_relax () done;
+            let crashes = ref 0 in
+            for _ = 1 to per_domain do
+              match Fault.hit point with () -> () | exception Fault.Crash _ -> incr crashes
+            done;
+            !crashes))
+  in
+  Atomic.set start true;
+  let crashes = List.fold_left (fun acc d -> acc + Domain.join d) 0 workers in
+  Alcotest.(check int) "exactly one crash" 1 crashes;
+  Alcotest.(check bool) "disarmed after firing" false (Fault.armed point)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "fault point counts hits across domains" `Quick
+        test_fault_point_across_domains ]

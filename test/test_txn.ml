@@ -206,41 +206,6 @@ let test_read_committed_fewer_aborts () =
     (rc.Scheduler.aborted <= ser.Scheduler.aborted);
   Alcotest.(check int) "all commit under rc" 60 rc.Scheduler.committed
 
-(* --- 2PC --- *)
-
-let test_2pc_commit () =
-  let t = Two_phase_commit.create ~node_count:4 () in
-  let writes = List.init 10 (fun i -> (Printf.sprintf "key%d" i, Printf.sprintf "val%d" i)) in
-  (match Two_phase_commit.run_writes t writes with
-   | Two_phase_commit.Committed ts -> Alcotest.(check bool) "ts positive" true (ts > 0)
-   | Two_phase_commit.Aborted why -> Alcotest.failf "unexpected abort: %s" why);
-  (* every key readable from its partition *)
-  List.iter
-    (fun (k, v) ->
-       Alcotest.(check (option string)) k (Some v) (Two_phase_commit.read t ~ts:max_int k))
-    writes
-
-let test_2pc_abort_on_conflict () =
-  let t = Two_phase_commit.create ~node_count:2 () in
-  (match Two_phase_commit.run_writes t [ ("a", "1") ] with
-   | Two_phase_commit.Committed _ -> ()
-   | Two_phase_commit.Aborted why -> Alcotest.failf "setup failed: %s" why);
-  (* a transaction with a start timestamp older than the committed write must
-     vote NO on prepare *)
-  let txn =
-    { Two_phase_commit.id = 99; start_ts = 1;
-      writes = [ (Two_phase_commit.node_for t "a", "a", "2") ]; reads = [] }
-  in
-  (match Two_phase_commit.execute t txn with
-   | Two_phase_commit.Aborted _ -> ()
-   | Two_phase_commit.Committed _ -> Alcotest.fail "stale transaction must abort");
-  Alcotest.(check (option string)) "value unchanged" (Some "1")
-    (Two_phase_commit.read t ~ts:max_int "a");
-  (* locks must have been rolled back: a fresh transaction succeeds *)
-  (match Two_phase_commit.run_writes t [ ("a", "3") ] with
-   | Two_phase_commit.Committed _ -> ()
-   | Two_phase_commit.Aborted why -> Alcotest.failf "locks leaked: %s" why)
-
 let suite =
   [
     Alcotest.test_case "timestamp oracle" `Quick test_timestamp;
@@ -262,8 +227,6 @@ let suite =
     Alcotest.test_case "transfers conserve (mvcc-occ)" `Quick (test_engine_transfer_invariant Scheduler.Mvcc_occ);
     Alcotest.test_case "transfers conserve (2pl)" `Quick (test_engine_transfer_invariant Scheduler.Two_pl);
     Alcotest.test_case "read committed isolation" `Quick test_read_committed_fewer_aborts;
-    Alcotest.test_case "2pc commit" `Quick test_2pc_commit;
-    Alcotest.test_case "2pc abort on conflict" `Quick test_2pc_abort_on_conflict;
   ]
 
 (* deterministic replay: the same seed produces the same interleaving *)
