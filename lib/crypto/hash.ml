@@ -22,16 +22,28 @@ let of_raw s =
     invalid_arg (Printf.sprintf "Hash.of_raw: expected %d bytes, got %d" size (String.length s));
   s
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex t =
-  let buf = Buffer.create (size * 2) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) t;
-  Buffer.contents buf
+  let b = Bytes.create (size * 2) in
+  for i = 0 to size - 1 do
+    let c = Char.code t.[i] in
+    Bytes.set b (2 * i) hex_digits.[c lsr 4];
+    Bytes.set b ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string b
+
+(* Lowercase only, so each digest has exactly one hex spelling: keys that
+   embed one (Universal_key) then decode one way. *)
+let nibble s i =
+  match s.[i] with
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | _ -> invalid_arg "Hash.of_hex: not lowercase hex"
 
 let of_hex s =
   if String.length s <> size * 2 then invalid_arg "Hash.of_hex: wrong length";
-  String.init size (fun i ->
-      let byte = int_of_string ("0x" ^ String.sub s (i * 2) 2) in
-      Char.chr byte)
+  String.init size (fun i -> Char.chr ((nibble s (2 * i) lsl 4) lor nibble s ((2 * i) + 1)))
 
 let short_hex t = String.sub (to_hex t) 0 8
 

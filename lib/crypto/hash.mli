@@ -35,7 +35,11 @@ val of_raw : string -> t
 (** Inverse of {!to_raw}. Raises [Invalid_argument] on wrong length. *)
 
 val to_hex : t -> string
+(** 64 lowercase hex digits. *)
+
 val of_hex : string -> t
+(** Inverse of {!to_hex}. Raises [Invalid_argument] unless [s] is exactly 64
+    lowercase hex digits. *)
 
 val short_hex : t -> string
 (** First 8 hex characters — for logs and display. *)

@@ -8,7 +8,14 @@ let test_ukey_roundtrip () =
   let uk = Universal_key.make ~column:"balance" ~pk:"alice" ~ts:42 ~vhash:(Hash.of_string "v") in
   match Universal_key.decode (Universal_key.encode uk) with
   | None -> Alcotest.fail "decode failed"
-  | Some uk' -> Alcotest.(check int) "roundtrip" 0 (Universal_key.compare uk uk')
+  | Some uk' ->
+    Alcotest.(check int) "roundtrip" 0 (Universal_key.compare uk uk');
+    (* one encoding per key: the hash spelled in uppercase does not decode *)
+    let e = Universal_key.encode uk in
+    let at = String.length e - 64 in
+    let upper = String.sub e 0 at ^ String.uppercase_ascii (String.sub e at 64) in
+    Alcotest.(check bool) "uppercase spelling differs" false (String.equal e upper);
+    Alcotest.(check bool) "uppercase refused" true (Universal_key.decode upper = None)
 
 let test_ukey_ordering () =
   let k column pk ts = Universal_key.encode (Universal_key.make ~column ~pk ~ts ~vhash:Hash.null) in
