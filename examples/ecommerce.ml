@@ -101,9 +101,9 @@ let () =
      one shard, warehouse stock on another; two-phase commit keeps the order
      atomic. *)
   print_endline "== cross-shard order via 2PC ==";
-  let cluster = Spitz.Cluster.Partitioned.create ~shards:3 () in
+  let cluster = Spitz.Cluster.create ~shards:3 () in
   (match
-     Spitz.Cluster.Partitioned.put_all cluster
+     Spitz.Cluster.put_all cluster
        [ ("credits:alice", "49"); ("stock:widget", "39"); ("order:1001", "alice->widget") ]
    with
    | Ok (commit_ts, heights) ->
@@ -111,6 +111,6 @@ let () =
        (String.concat "," (List.map (fun (s, h) -> Printf.sprintf "%d(block %d)" s h) heights))
    | Error why -> Printf.printf "  order aborted: %s\n" why);
   Printf.printf "  order readable: %s\n"
-    (Option.value ~default:"?" (Spitz.Cluster.Partitioned.get cluster "order:1001"));
-  Printf.printf "  all shard ledgers audit: %b\n" (Spitz.Cluster.Partitioned.audit cluster);
+    (Option.value ~default:"?" (Spitz.Cluster.get cluster "order:1001"));
+  Printf.printf "  all shard ledgers audit: %b\n" (Spitz.Cluster.audit cluster);
   print_endline "done."

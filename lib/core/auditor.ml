@@ -2,7 +2,7 @@ open Spitz_ledger
 
 (* The auditor (paper section 5, control layer): the component through which
    every proof comes back. Wraps the SIRI-backed ledger; one auditor per
-   processor node. Data changes reach the ledger through [Db.commit] alone. *)
+   database. Data changes reach the ledger through [Db.commit] alone. *)
 
 module L = Ledger.Default
 

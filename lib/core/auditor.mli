@@ -1,4 +1,4 @@
-(** The auditor of a processor node (paper section 5): the component through
+(** The auditor of a database (paper section 5): the component through
     which every proof comes back. Data changes reach the ledger through
     {!Db.commit} alone. *)
 

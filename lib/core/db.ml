@@ -1,15 +1,16 @@
 open Spitz_storage
 open Spitz_ledger
 
-(* The Spitz database facade: the public API a processor node exposes.
+(* The Spitz database facade: the store, ledger, cell store and inverted
+   index of one database, behind the section 5.1 pipeline.
 
-   Reads and writes follow the section 5.1 pipeline. A write (1) arrives at
-   the request handler, (2) is checked by the auditor, which updates the
-   ledger and obtains the proof, (3) is applied to the cell store through the
-   B+-tree index, and (4) returns with its proof. A read answers from the
-   cell store; when verification is requested, the proof comes from the
-   ledger's unified index — the same traversal that located the data, which
-   is the efficiency argument of section 6.2.1. *)
+   A write arrives at the request handler ([Server.serve]) and enters
+   [commit], the one write path: [L.prepare] hashes its values, then
+   [L.commit_prepared] appends one ledger block and the shared [apply]
+   writes its cells, the same function recovery replays. A read answers
+   from the cell store; when verification is requested, the proof comes
+   from the ledger's unified index — the same traversal that located the
+   data, which is the efficiency argument of section 6.2.1. *)
 
 module L = Ledger.Default
 module V = Verifier.Default
@@ -119,8 +120,7 @@ let apply t ~height writes ~cell =
          let ukey = Cell_store.write_cell t.cells ~column ~pk ~ts:height v in
          Option.iter
            (fun inv ->
-              Spitz_index.Inverted.add inv (Spitz_index.Inverted.Str v.Object_store.bytes)
-                (Universal_key.encode ukey))
+              Spitz_index.Inverted.add inv v.Object_store.bytes (Universal_key.encode ukey))
            t.inverted)
     last
 
@@ -137,6 +137,14 @@ let submit_log t log ~height =
   let ticket = Wal.submit log.wal (encode_wal_record ~height ~body objects) in
   Fault.hit "commit.after_submit";
   (log.wal, ticket)
+
+(* The keys [commit] accepts: a key the cell store cannot encode (one
+   containing NUL) must fail before the ledger moves. This is the one owner
+   of the rule; a cross-shard prepare votes with it. *)
+let validate writes =
+  if List.exists (fun (Ledger.Put (key, _) | Ledger.Delete key) -> String.contains key '\000') writes
+  then Error "key contains NUL"
+  else Ok ()
 
 (* The one write path: every mutation of a database — KV puts and deletes,
    schema rows, the SQL catalog — is one batch committed here as one ledger
@@ -155,11 +163,7 @@ let submit_log t log ~height =
    the order the lock is acquired, so digests, proofs and audits are
    byte-identical to that serial order. *)
 let commit t ?statements writes =
-  (* a key the cell store cannot encode must fail before the ledger moves *)
-  List.iter
-    (fun (Ledger.Put (key, _) | Ledger.Delete key) ->
-       if String.contains key '\000' then invalid_arg "Db.commit: key contains NUL")
-    writes;
+  (match validate writes with Ok () -> () | Error why -> invalid_arg ("Db.commit: " ^ why));
   let prepared = L.prepare (ledger t) ?statements writes in
   let height, pending =
     with_commit_lock t (fun () ->
@@ -216,8 +220,7 @@ let search_value t value =
   match t.inverted with
   | None -> []
   | Some inv ->
-    List.filter_map Universal_key.decode
-      (Spitz_index.Inverted.lookup inv (Spitz_index.Inverted.Str value))
+    List.filter_map Universal_key.decode (Spitz_index.Inverted.lookup inv value)
 
 (* --- Snapshot reads: the concurrent read path ---
 

@@ -1,9 +1,11 @@
-(** The Spitz database facade — the public API a processor node exposes.
+(** The Spitz database facade: the store, ledger, cell store and inverted
+    index of one database, behind the paper's section 5.1 pipeline.
 
-    Reads and writes follow the paper's section 5.1 pipeline: a write is
-    checked by the auditor (which updates the ledger and obtains the proof),
-    then applied to the cell store through the B+-tree index; a read answers
-    from the cell store, and when verification is requested the proof comes
+    A write arrives at the request handler ([Server.serve]) and enters
+    {!commit}, the one write path: [L.prepare] hashes its values, then
+    [L.commit_prepared] appends one ledger block and the shared cell apply
+    writes its cells, the same apply recovery replays. A read answers from
+    the cell store, and when verification is requested the proof comes
     from the ledger's unified index — the same traversal that locates the
     data. *)
 
@@ -38,6 +40,11 @@ val cell_count : t -> int
 
 (** {1 Writes} *)
 
+val validate : Ledger.write list -> (unit, string) result
+(** The rule {!commit} applies before the ledger moves: [Error reason] if
+    it would refuse the batch (a key contains NUL). A cross-shard prepare
+    votes with it, so a batch it accepts commits on every shard. *)
+
 val commit : t -> ?statements:string list -> Ledger.write list -> int
 (** The one write path: one batch of puts and deletes as one ledger block.
     Every mutation funnels here — {!put}, {!put_batch}, {!delete}, schema
@@ -48,7 +55,8 @@ val commit : t -> ?statements:string list -> Ledger.write list -> int
 
     A key names a cell by {!Universal_key.split}: [column ^ "\x1f" ^ pk]
     is cell ([column], [pk]); any other key is a pk of the default column.
-    Raises [Invalid_argument], committing nothing, if a key contains NUL.
+    Raises [Invalid_argument], committing nothing, if {!validate} refuses
+    the batch.
 
     Thread-safe: any number of domains may commit concurrently.
     Value hashing runs before the internal commit lock, the WAL durability

@@ -224,7 +224,7 @@ let find_by_value t ~col value =
            match Universal_key.decode ukey with
            | Some uk when uk.Universal_key.column = column -> Some uk.Universal_key.pk
            | _ -> None)
-        (Spitz_index.Inverted.lookup inv (Spitz_index.Inverted.Str (Json.to_string value)))
+        (Spitz_index.Inverted.lookup inv (Json.to_string value))
     | None ->
       List.map fst
         (Cell_store.range_latest_values (Db.cells t.db) ~column ~pk_lo:"" ~pk_hi:"\xff")

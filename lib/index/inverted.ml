@@ -1,22 +1,13 @@
 (* Inverted index: cell value -> posting list of universal keys (paper
-   section 5). Per the paper, the inverted-list structure depends on the
-   value's type: a skip list for numeric values (range-friendly) and a radix
-   tree for strings (prefix compression). Postings are kept sorted and
-   deduplicated. *)
+   section 5). Every value is indexed as its stored bytes in a radix tree
+   (prefix compression); the paper's skip list for numeric values has no
+   counterpart here. Postings are kept sorted and deduplicated. *)
 
 type posting = string list (* sorted universal keys *)
 
-type t = {
-  numeric : (float, posting) Skiplist.t;
-  mutable strings : posting Radix_tree.t;
-}
+type t = { mutable postings : posting Radix_tree.t }
 
-type value = Num of float | Str of string
-
-let create ?seed () = {
-  numeric = Skiplist.create ?seed Float.compare ~dummy_key:0.0 ~dummy_value:[];
-  strings = Radix_tree.empty;
-}
+let create () = { postings = Radix_tree.empty }
 
 let rec add_sorted key = function
   | [] -> [ key ]
@@ -27,38 +18,7 @@ let rec add_sorted key = function
     else k :: add_sorted key rest
 
 let add t value ukey =
-  match value with
-  | Num f ->
-    let current = Option.value ~default:[] (Skiplist.get t.numeric f) in
-    Skiplist.insert t.numeric f (add_sorted ukey current)
-  | Str s ->
-    let current = Option.value ~default:[] (Radix_tree.get t.strings s) in
-    t.strings <- Radix_tree.insert t.strings s (add_sorted ukey current)
+  let current = Option.value ~default:[] (Radix_tree.get t.postings value) in
+  t.postings <- Radix_tree.insert t.postings value (add_sorted ukey current)
 
-let remove t value ukey =
-  match value with
-  | Num f ->
-    (match Skiplist.get t.numeric f with
-     | None -> ()
-     | Some postings ->
-       (match List.filter (fun k -> not (String.equal k ukey)) postings with
-        | [] -> Skiplist.remove t.numeric f
-        | rest -> Skiplist.insert t.numeric f rest))
-  | Str s ->
-    (match Radix_tree.get t.strings s with
-     | None -> ()
-     | Some postings ->
-       (match List.filter (fun k -> not (String.equal k ukey)) postings with
-        | [] -> t.strings <- Radix_tree.remove t.strings s
-        | rest -> t.strings <- Radix_tree.insert t.strings s rest))
-
-let lookup t value =
-  match value with
-  | Num f -> Option.value ~default:[] (Skiplist.get t.numeric f)
-  | Str s -> Option.value ~default:[] (Radix_tree.get t.strings s)
-
-let lookup_numeric_range t ~lo ~hi =
-  Skiplist.fold_range t.numeric ~lo ~hi (fun _ postings acc -> acc @ postings) []
-
-let lookup_prefix t ~prefix =
-  Radix_tree.fold_prefix t.strings ~prefix (fun _ postings acc -> acc @ postings) []
+let lookup t value = Option.value ~default:[] (Radix_tree.get t.postings value)

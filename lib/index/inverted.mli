@@ -1,25 +1,16 @@
 (** Inverted index from cell values to posting lists of universal keys.
 
-    Per the paper's design, numeric values index into a skip list (fast range
-    scans) and string values into a radix tree (prefix compression). *)
+    Values are indexed as their stored bytes in a radix tree (prefix
+    compression). The paper's section 5 also puts numeric values in a skip
+    list; here every cell is indexed as bytes, so there is no numeric side. *)
 
 type t
 
-type value = Num of float | Str of string
+val create : unit -> t
 
-val create : ?seed:int -> unit -> t
-
-val add : t -> value -> string -> unit
+val add : t -> string -> string -> unit
 (** [add t value ukey] records that the cell addressed by [ukey] holds
     [value]. Idempotent. *)
 
-val remove : t -> value -> string -> unit
-
-val lookup : t -> value -> string list
+val lookup : t -> string -> string list
 (** Universal keys of all cells holding exactly [value], sorted. *)
-
-val lookup_numeric_range : t -> lo:float -> hi:float -> string list
-(** Universal keys of cells whose numeric value lies in [lo, hi]. *)
-
-val lookup_prefix : t -> prefix:string -> string list
-(** Universal keys of cells whose string value starts with [prefix]. *)

@@ -1,6 +1,6 @@
-(* Skip list over ordered keys — the inverted-list structure Spitz uses for
-   numeric cell values (paper section 5, "Inverted Index"). Deterministic
-   tower heights (seeded xorshift) keep runs reproducible. *)
+(* Skip list over ordered keys — the per-key version track of [Provenance]
+   (lineage by block height). Deterministic tower heights (seeded xorshift)
+   keep runs reproducible. *)
 
 let max_level = 24
 let p_num = 1 (* promotion probability 1/4 *)

@@ -1,5 +1,5 @@
-(** Skip list over ordered keys — the inverted-list structure Spitz uses for
-    numeric cell values. Tower heights come from a seeded deterministic
+(** Skip list over ordered keys — the per-key version track of
+    [Provenance]. Tower heights come from a seeded deterministic
     generator, so runs are reproducible. *)
 
 type ('k, 'v) t

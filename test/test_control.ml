@@ -1,90 +1,56 @@
 open Spitz
 
-(* The control layer (processor, cluster), provenance, federated analytics,
-   and persistence. *)
-
-(* --- processor --- *)
-
-let test_processor_pipeline () =
-  let db = Db.open_db () in
-  let p = Processor.create db in
-  (match Processor.call p (Processor.Put { key = "k"; value = "v"; verify = false }) with
-   | Processor.Committed h -> Alcotest.(check int) "first block" 0 h
-   | _ -> Alcotest.fail "put failed");
-  (match Processor.call p (Processor.Get { key = "k"; verify = false }) with
-   | Processor.Value (Some v) -> Alcotest.(check string) "value" "v" v
-   | _ -> Alcotest.fail "get failed");
-  (match Processor.call p (Processor.Get { key = "k"; verify = true }) with
-   | Processor.Value_proved (Some _, proof) ->
-     let digest = Db.digest db in
-     Alcotest.(check bool) "proof" true
-       (Db.verify_read ~digest ~key:"k" ~value:(Some "v") proof)
-   | _ -> Alcotest.fail "verified get failed");
-  (match Processor.call p (Processor.Put { key = "k2"; value = "v2"; verify = true }) with
-   | Processor.Committed_proved (_, [ receipt ]) ->
-     Alcotest.(check bool) "receipt" true (Db.verify_write ~digest:(Db.digest db) receipt)
-   | _ -> Alcotest.fail "verified put failed");
-  (match Processor.call p (Processor.Range { lo = "k"; hi = "kz"; verify = false }) with
-   | Processor.Entries entries -> Alcotest.(check int) "range" 2 (List.length entries)
-   | _ -> Alcotest.fail "range failed");
-  (match Processor.call p (Processor.History { key = "k" }) with
-   | Processor.Versions [ (_, "v") ] -> ()
-   | _ -> Alcotest.fail "history failed");
-  Alcotest.(check int) "processed count" 6 (Processor.processed p)
-
-let test_processor_queueing () =
-  let db = Db.open_db () in
-  let p = Processor.create db in
-  let responses = ref 0 in
-  for i = 0 to 9 do
-    Processor.submit p
-      (Processor.Put { key = Printf.sprintf "k%d" i; value = "v"; verify = false })
-      (fun _ -> incr responses)
-  done;
-  Alcotest.(check int) "queued" 10 (Processor.pending p);
-  Alcotest.(check int) "drained" 10 (Processor.run p);
-  Alcotest.(check int) "responses delivered" 10 !responses;
-  Alcotest.(check int) "queue empty" 0 (Processor.pending p)
+(* The partitioned cluster, provenance, federated analytics, and
+   persistence. *)
 
 (* --- cluster --- *)
 
-let test_cluster_round_robin () =
-  let db = Db.open_db () in
-  let c = Cluster.create ~nodes:3 db in
-  let acks = ref 0 in
-  for i = 0 to 8 do
-    Cluster.submit c
-      (Processor.Put { key = Printf.sprintf "k%d" i; value = "v"; verify = false })
-      (fun _ -> incr acks)
-  done;
-  ignore (Cluster.dispatch c);
-  Alcotest.(check int) "all acknowledged" 9 !acks;
-  (* round-robin: every node processed exactly 3 *)
-  for n = 0 to 2 do
-    Alcotest.(check int) (Printf.sprintf "node %d" n) 3
-      (Processor.processed (Cluster.processor c n))
-  done;
-  (* all nodes share the storage layer: any node serves any key *)
-  match Cluster.call c (Processor.Get { key = "k5"; verify = false }) with
-  | Processor.Value (Some "v") -> ()
-  | _ -> Alcotest.fail "shared storage read failed"
-
 let test_cluster_partitioned_2pc () =
-  let c = Cluster.Partitioned.create ~shards:3 () in
-  (match Cluster.Partitioned.put_all c [ ("a", "1"); ("b", "2"); ("c", "3"); ("d", "4") ] with
+  let c = Cluster.create ~shards:3 () in
+  (match Cluster.put_all c [ ("a", "1"); ("b", "2"); ("c", "3"); ("d", "4") ] with
    | Ok (_, heights) -> Alcotest.(check bool) "spans shards" true (List.length heights >= 1)
    | Error why -> Alcotest.failf "2pc failed: %s" why);
   List.iter
     (fun (k, v) ->
-       Alcotest.(check (option string)) k (Some v) (Cluster.Partitioned.get c k))
+       Alcotest.(check (option string)) k (Some v) (Cluster.get c k))
     [ ("a", "1"); ("b", "2"); ("c", "3"); ("d", "4") ];
   (* verified read routes to the owning shard *)
-  let (value, proof), digest = Cluster.Partitioned.get_verified c "a" in
+  let (value, proof), digest = Cluster.get_verified c "a" in
   Alcotest.(check bool) "shard proof" true
     (Db.verify_read ~digest ~key:"a" ~value (Option.get proof));
-  Alcotest.(check bool) "audit" true (Cluster.Partitioned.audit c);
-  let commits, aborts = Cluster.Partitioned.stats c in
+  Alcotest.(check bool) "audit" true (Cluster.audit c);
+  let commits, aborts = Cluster.stats c in
   Alcotest.(check (pair int int)) "stats" (1, 0) (commits, aborts)
+
+(* A participant that votes no aborts the whole transaction: a key
+   [Db.commit] refuses, on the last shard to commit, leaves every shard as it
+   was, the abort is counted, and the same keys commit afterwards. *)
+let test_cluster_2pc_rejected_write () =
+  let c = Cluster.create ~shards:3 () in
+  let keys_on shard prefix n =
+    let rec go i acc =
+      if List.length acc = n then List.rev acc
+      else
+        let k = prefix ^ string_of_int i in
+        go (i + 1) (if Cluster.shard_of c k = shard then k :: acc else acc)
+    in
+    go 0 []
+  in
+  let good = List.map (fun k -> (k, "v")) (keys_on 0 "a" 3 @ keys_on 1 "b" 3) in
+  let bad = List.hd (keys_on 2 "bad\000" 1) in
+  let heights () = List.init 3 (fun s -> Auditor.height (Db.auditor (Cluster.shard c s))) in
+  let before = heights () in
+  (match Cluster.put_all c (good @ [ (bad, "v") ]) with
+   | Ok _ -> Alcotest.fail "a key containing NUL committed"
+   | Error _ -> ());
+  Alcotest.(check (list int)) "no shard moved" before (heights ());
+  List.iter (fun (k, _) -> Alcotest.(check (option string)) k None (Cluster.get c k)) good;
+  (match Cluster.put_all c good with
+   | Ok _ -> ()
+   | Error why -> Alcotest.failf "follow-up put_all failed: %s" why);
+  List.iter (fun (k, v) -> Alcotest.(check (option string)) k (Some v) (Cluster.get c k)) good;
+  Alcotest.(check bool) "audit" true (Cluster.audit c);
+  Alcotest.(check (pair int int)) "stats" (1, 1) (Cluster.stats c)
 
 (* --- provenance --- *)
 
@@ -206,10 +172,9 @@ let test_load_rejects_garbage () =
 
 let suite =
   [
-    Alcotest.test_case "processor pipeline" `Quick test_processor_pipeline;
-    Alcotest.test_case "processor queueing" `Quick test_processor_queueing;
-    Alcotest.test_case "cluster round robin" `Quick test_cluster_round_robin;
     Alcotest.test_case "cluster partitioned 2pc" `Quick test_cluster_partitioned_2pc;
+    Alcotest.test_case "cluster 2pc rejected write commits nowhere" `Quick
+      test_cluster_2pc_rejected_write;
     Alcotest.test_case "provenance" `Quick test_provenance;
     Alcotest.test_case "provenance of db" `Quick test_provenance_of_db;
     Alcotest.test_case "federated analytics" `Quick test_federated;

@@ -10,46 +10,6 @@ let test_timestamp () =
   Alcotest.(check int) "peek does not allocate" (Timestamp.peek o) (Timestamp.peek o);
   Alcotest.(check int) "allocations" 2 (Timestamp.allocations o)
 
-(* --- hybrid logical clocks --- *)
-
-let test_hlc_monotonic () =
-  let c = Hlc.create ~node_id:1 () in
-  let prev = ref (Hlc.now c) in
-  for _ = 1 to 100 do
-    let t = Hlc.now c in
-    Alcotest.(check bool) "strictly increasing" true (Hlc.compare t !prev > 0);
-    prev := t
-  done
-
-let test_hlc_causality () =
-  let a = Hlc.create ~node_id:1 () in
-  let b = Hlc.create ~node_id:2 () in
-  (* a sends to b: b's receive timestamp must exceed the send timestamp *)
-  let send = Hlc.now a in
-  let recv = Hlc.update b send in
-  Alcotest.(check bool) "receive after send" true (Hlc.compare recv send > 0);
-  (* and b's subsequent events stay ahead *)
-  let next = Hlc.now b in
-  Alcotest.(check bool) "subsequent" true (Hlc.compare next recv > 0)
-
-let test_hlc_physical_dominance () =
-  let time = ref 100 in
-  let c = Hlc.create ~clock:(fun () -> !time) ~node_id:0 () in
-  let t1 = Hlc.now c in
-  Alcotest.(check int) "tracks wall clock" 100 t1.Hlc.wall;
-  Alcotest.(check int) "logical resets" 0 t1.Hlc.logical;
-  (* stalled wall clock: logical grows *)
-  let t2 = Hlc.now c in
-  Alcotest.(check int) "logical bumps" 1 t2.Hlc.logical;
-  time := 200;
-  let t3 = Hlc.now c in
-  Alcotest.(check int) "wall advances" 200 t3.Hlc.wall;
-  Alcotest.(check int) "logical resets again" 0 t3.Hlc.logical
-
-let test_hlc_total_order () =
-  let a = { Hlc.wall = 5; logical = 3 } in
-  Alcotest.(check bool) "node id breaks ties" true (Hlc.compare_total a 1 a 2 < 0)
-
 (* --- MVCC store --- *)
 
 let test_mvcc_snapshots () =
@@ -209,10 +169,6 @@ let test_read_committed_fewer_aborts () =
 let suite =
   [
     Alcotest.test_case "timestamp oracle" `Quick test_timestamp;
-    Alcotest.test_case "hlc monotonic" `Quick test_hlc_monotonic;
-    Alcotest.test_case "hlc causality" `Quick test_hlc_causality;
-    Alcotest.test_case "hlc physical dominance" `Quick test_hlc_physical_dominance;
-    Alcotest.test_case "hlc total order" `Quick test_hlc_total_order;
     Alcotest.test_case "mvcc snapshots" `Quick test_mvcc_snapshots;
     Alcotest.test_case "mvcc out-of-order install" `Quick test_mvcc_out_of_order_install;
     Alcotest.test_case "mvcc gc" `Quick test_mvcc_gc;
