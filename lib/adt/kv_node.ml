@@ -65,13 +65,19 @@ let load store h =
     Node_cache.add cache h node;
     node
 
-(* Encode into a fresh writer and store straight from its buffer: the
-   identity hash is computed in place, and a dedup hit (shared subtree
-   node) never materializes the encoding as a string at all. *)
-let save store node =
-  let buf = Wire.writer () in
+(* Encode into [buf] (cleared first, so one writer serves a whole batch of
+   seals; a fresh one by default) and store straight from its buffer: the
+   identity hash is computed in place, and a dedup hit (shared subtree node)
+   never materializes the encoding as a string at all. The node just sealed
+   goes into the decoded-node cache under its address — it is exactly what
+   [decode] of the stored bytes would build, and it shares the caller's key
+   and value strings instead of copies the next load would decode. *)
+let save ?(buf = Wire.writer ()) store node =
+  Wire.clear buf;
   encode_into buf node;
-  Object_store.put_writer store buf
+  let h = Object_store.put_writer store buf in
+  Node_cache.add cache h node;
+  h
 
 (* Index of the child to follow for [key]: the last separator <= key, or the
    first child when the key sorts before everything. *)

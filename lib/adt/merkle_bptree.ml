@@ -98,13 +98,15 @@ let rec insert_dirty store node key value =
     in
     (relink (fun l -> D_internal l) children', grew)
 
-let rec seal store = function
-  | D_leaf entries -> save store (Leaf entries)
+(* [buf] is the batch's one encode buffer: each node is encoded, stored and
+   done with before its parent's encode begins. *)
+let rec seal buf store = function
+  | D_leaf entries -> save ~buf store (Leaf entries)
   | D_internal children ->
-    save store
+    save ~buf store
       (Internal
          (List.map
-            (fun (k, c) -> (k, match c with Stored h -> h | Dirty n -> seal store n))
+            (fun (k, c) -> (k, match c with Stored h -> h | Dirty n -> seal buf store n))
             children))
 
 let insert_batch t = function
@@ -119,7 +121,8 @@ let insert_batch t = function
         (Some node, if grew then count + 1 else count)
     in
     let root, count = List.fold_left step (Option.map (expand t.store) t.root, t.count) kvs in
-    { t with root = Option.map (seal t.store) root; count }
+    let buf = Wire.writer ~size:4096 () in
+    { t with root = Option.map (seal buf t.store) root; count }
 
 let insert t key value = insert_batch t [ (key, value) ]
 

@@ -68,13 +68,12 @@ let with_commit_lock t f =
 (* --- Writes --- *)
 
 (* A write-ahead log record: one committed block's height, the content
-   address of its encoded body, and the store objects it added. *)
-let encode_wal_record ~height ~body objects =
-  let buf = Wire.writer () in
+   address of its encoded body, and the store objects it added — written
+   straight into the log's frame ([Wal.submit_with]), never as a string. *)
+let write_wal_record ~height ~body objects buf =
   Wire.write_varint buf height;
   Wire.write_hash buf body;
-  Wire.write_list buf Wire.write_string objects;
-  Wire.contents buf
+  Wire.write_list buf Wire.write_string objects
 
 (* The cell a ledger key names. [apply] writes by this rule and every read
    resolves by it, so the cell-store reads agree with the verified reads for
@@ -134,7 +133,7 @@ let submit_log t log ~height =
   let objects = List.rev log.captured in
   log.captured <- [];
   let body = Journal.body_hash (L.journal (ledger t)) height in
-  let ticket = Wal.submit log.wal (encode_wal_record ~height ~body objects) in
+  let ticket = Wal.submit_with log.wal (write_wal_record ~height ~body objects) in
   Fault.hit "commit.after_submit";
   (log.wal, ticket)
 

@@ -81,43 +81,6 @@ let get t key =
 
 let mem t key = get t key <> None
 
-let rec remove_node node key =
-  let p = common_prefix_len node.prefix key in
-  if p < String.length node.prefix then Some node
-  else begin
-    let rest = drop key p in
-    if String.length rest = 0 then begin
-      match node.children with
-      | [] -> None
-      | [ (_, only) ] when node.value <> None ->
-        (* merge the single child into this edge *)
-        Some { only with prefix = node.prefix ^ only.prefix }
-      | _ -> Some { node with value = None }
-    end
-    else begin
-      let c = rest.[0] in
-      let children =
-        List.filter_map
-          (fun (bc, child) ->
-             if Char.equal bc c then Option.map (fun n -> (bc, n)) (remove_node child rest)
-             else Some (bc, child))
-          node.children
-      in
-      match (node.value, children) with
-      | None, [] -> None
-      | None, [ (_, only) ] -> Some { only with prefix = node.prefix ^ only.prefix }
-      | _ -> Some { node with children }
-    end
-  end
-
-let remove t key =
-  match t with
-  | Empty -> Empty
-  | Node node ->
-    (match remove_node node key with
-     | None -> Empty
-     | Some node -> Node node)
-
 let fold t f init =
   let rec go node prefix acc =
     let full = prefix ^ node.prefix in
@@ -131,28 +94,3 @@ let fold t f init =
 let iter t f = fold t (fun k v () -> f k v) ()
 
 let cardinal t = fold t (fun _ _ n -> n + 1) 0
-
-let fold_prefix t ~prefix f init =
-  (* descend to the node covering [prefix], then fold its subtree *)
-  let rec go node acc_prefix target acc =
-    let p = common_prefix_len node.prefix target in
-    if p = String.length target then begin
-      (* whole subtree matches *)
-      let rec sub node prefix acc =
-        let full = prefix ^ node.prefix in
-        let acc = match node.value with Some v -> f full v acc | None -> acc in
-        List.fold_left (fun acc (_, child) -> sub child full acc) acc node.children
-      in
-      sub node acc_prefix acc
-    end
-    else if p < String.length node.prefix then acc (* diverged: nothing matches *)
-    else begin
-      let rest = drop target p in
-      match List.assoc_opt rest.[0] node.children with
-      | None -> acc
-      | Some child -> go child (acc_prefix ^ node.prefix) rest acc
-    end
-  in
-  match t with
-  | Empty -> init
-  | Node node -> go node "" prefix init

@@ -11,13 +11,8 @@ val insert : 'a t -> string -> 'a -> 'a t
 val get : 'a t -> string -> 'a option
 val mem : 'a t -> string -> bool
 
-val remove : 'a t -> string -> 'a t
-
 val cardinal : 'a t -> int
 
 val iter : 'a t -> (string -> 'a -> unit) -> unit
 
 val fold : 'a t -> (string -> 'a -> 'b -> 'b) -> 'b -> 'b
-
-val fold_prefix : 'a t -> prefix:string -> (string -> 'a -> 'b -> 'b) -> 'b -> 'b
-(** Fold over all entries whose key starts with [prefix]. *)

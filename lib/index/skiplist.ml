@@ -87,21 +87,6 @@ let insert t key value =
     done;
     t.cardinal <- t.cardinal + 1
 
-let remove t key =
-  let update = find_path t key in
-  match update.(0).forward.(0) with
-  | Some node when t.compare node.key key = 0 ->
-    for i = 0 to Array.length node.forward - 1 do
-      match update.(i).forward.(i) with
-      | Some n when n == node -> update.(i).forward.(i) <- node.forward.(i)
-      | _ -> ()
-    done;
-    while t.level > 1 && t.header.forward.(t.level - 1) = None do
-      t.level <- t.level - 1
-    done;
-    t.cardinal <- t.cardinal - 1
-  | _ -> ()
-
 let fold_range t ~lo ~hi f init =
   let update = find_path t lo in
   let rec go node acc =

@@ -16,8 +16,6 @@ val insert : ('k, 'v) t -> 'k -> 'v -> unit
 val get : ('k, 'v) t -> 'k -> 'v option
 val mem : ('k, 'v) t -> 'k -> bool
 
-val remove : ('k, 'v) t -> 'k -> unit
-
 val range : ('k, 'v) t -> lo:'k -> hi:'k -> ('k * 'v) list
 (** Entries with [lo <= key <= hi], in key order. *)
 

@@ -19,6 +19,12 @@ type t = {
 
 let session_counter = Atomic.make 0
 
+(* Pid and clock in fixed-width hex: a pid fits 6 hex digits (pid_max is at
+   most 2^22) and the clock is masked to 24 bits, so the nonce — and every
+   token and request that carries it — has one length whatever the clock
+   reads. *)
+let nonce ~pid ~session ~clock = Printf.sprintf "%06x.%d.%06x" pid session (clock land 0xFFFFFF)
+
 let connect ?(retries = 3) ~port () =
   {
     port;
@@ -26,9 +32,9 @@ let connect ?(retries = 3) ~port () =
     fd = None;
     verifier = Db.V.create ();
     nonce =
-      Printf.sprintf "%d.%d.%d" (Unix.getpid ())
-        (Atomic.fetch_and_add session_counter 1)
-        (int_of_float (Unix.gettimeofday () *. 1e6) land 0xFFFFFF);
+      nonce ~pid:(Unix.getpid ())
+        ~session:(Atomic.fetch_and_add session_counter 1)
+        ~clock:(int_of_float (Unix.gettimeofday () *. 1e6));
     seq = 0;
     scratch = Frame.scratch ();
     out = Spitz_storage.Wire.writer ~size:512 ();

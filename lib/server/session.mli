@@ -31,6 +31,12 @@ val connect : ?retries:int -> port:int -> unit -> t
 (** Connect to a server on loopback. [retries] (default 3) bounds
     transparent reconnect attempts per request. *)
 
+val nonce : pid:int -> session:int -> clock:int -> string
+(** The token prefix that makes a session's write tokens unique across
+    processes, sessions and restarts: pid and the low 24 bits of [clock]
+    (microseconds) in fixed-width hex, around the in-process session
+    number. Its length depends on [pid] and [session] only. *)
+
 val close : t -> unit
 (** Idempotent. *)
 

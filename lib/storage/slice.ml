@@ -77,6 +77,10 @@ module Writer = struct
 
   let clear w = w.len <- 0
 
+  let truncate w n =
+    if n < 0 || n > w.len then invalid_arg "Slice.Writer.truncate: out of bounds";
+    w.len <- n
+
   let grow w needed =
     let cap = ref (Bytes.length w.buf) in
     while !cap < needed do

@@ -65,6 +65,11 @@ module Writer : sig
   (** Reset to empty, retaining capacity — the reuse primitive behind the
       per-connection and per-log scratch buffers. *)
 
+  val truncate : w -> int -> unit
+  (** [truncate w n] drops every byte past the first [n], retaining
+      capacity — how a partly written record is rolled back. Raises
+      [Invalid_argument] unless [0 <= n <= length w]. *)
+
   val add_char : w -> char -> unit
   val add_string : w -> string -> unit
   val add_substring : w -> string -> int -> int -> unit

@@ -64,7 +64,6 @@ type t = {
                                       flush ended — submits that landed while
                                       the leader was on the disk *)
   mutable last_fsync_s : float;    (* duration of the last fsync, seconds *)
-  head : Bytes.t;                  (* preallocated 8-byte frame-header scratch *)
   mutable n_records : int;         (* records submitted over the log's life *)
   mutable n_fsyncs : int;          (* fsyncs issued over the log's life *)
   mutable n_rotations : int;       (* segment rotations over the log's life *)
@@ -188,7 +187,6 @@ let open_log ?(sync = Always) dir =
     last_batch_n = 0;
     backlog = 0;
     last_fsync_s = 0.;
-    head = Bytes.create header_len;
     n_records = 0;
     n_fsyncs = 0;
     n_rotations = 0;
@@ -233,17 +231,30 @@ let write_all fd b pos len =
     left := !left - n
   done
 
-(* Frame one record into [buf] using the log's preallocated header scratch
-   (no per-record allocation on the hot path). The CRC covers the 4 length
-   bytes plus the payload, folded straight off the scratch — no 4-byte
-   substring. Caller holds [m]. *)
-let frame_into t buf record =
-  let len = String.length record in
-  set_le32 t.head 0 len;
-  let crc = Crc32.update (Crc32.update_bytes 0l t.head 0 4) record in
-  set_le32 t.head 4 (Int32.to_int crc land 0xffffffff);
-  Slice.Writer.add_bytes buf t.head 0 header_len;
-  Slice.Writer.add_string buf record
+let blank_header = String.make header_len '\000'
+
+(* The one framing function: append one frame to [buf] in place and return
+   its size. The header bytes are reserved first, [encode] writes the
+   payload straight after them, and the length and the CRC (over the 4
+   length bytes plus the payload) are patched into the reservation — the
+   record never exists as a string of its own. If [encode] raises, [buf] is
+   truncated back to where the frame began, so no flush can ever write a
+   partial frame. Caller holds [m]. *)
+let frame_into buf encode =
+  let start = Slice.Writer.length buf in
+  Slice.Writer.add_string buf blank_header;
+  (match encode buf with
+   | () -> ()
+   | exception e ->
+     let bt = Printexc.get_raw_backtrace () in
+     Slice.Writer.truncate buf start;
+     Printexc.raise_with_backtrace e bt);
+  let len = Slice.Writer.length buf - start - header_len in
+  let b = Slice.Writer.unsafe_bytes buf in
+  set_le32 b start len;
+  let crc = Crc32.update_bytes (Crc32.update_bytes 0l b start 4) b (start + header_len) len in
+  set_le32 b (start + 4) (Int32.to_int crc land 0xffffffff);
+  header_len + len
 
 (* Write the first [total] bytes of [data] (one frame, or a whole coalesced
    batch of frames whose record boundaries are [ends]) straight from the
@@ -371,14 +382,14 @@ let flush_locked ?(linger = true) t =
 
 let no_ticket = -1
 
-let submit t record =
+let submit_with t encode =
   check_open t "submit";
   locked t (fun () ->
-      t.n_records <- t.n_records + 1;
       if buffered t then begin
-        frame_into t t.active record;
+        let size = frame_into t.active encode in
+        t.n_records <- t.n_records + 1;
         t.frame_ends <- Slice.Writer.length t.active :: t.frame_ends;
-        t.pending_bytes <- t.pending_bytes + header_len + String.length record;
+        t.pending_bytes <- t.pending_bytes + size;
         t.batch
       end
       else begin
@@ -386,8 +397,8 @@ let submit t record =
            standby scratch, which group commit never uses here), fsync per
            policy *)
         Slice.Writer.clear t.standby;
-        frame_into t t.standby record;
-        let total = Slice.Writer.length t.standby in
+        let total = frame_into t.standby encode in
+        t.n_records <- t.n_records + 1;
         write_frames t ~ends:[ total ] (Slice.Writer.unsafe_bytes t.standby) total;
         Slice.Writer.clear t.standby;
         (match t.sync_policy with
@@ -397,6 +408,8 @@ let submit t record =
          | _ -> ());
         no_ticket
       end)
+
+let submit t record = submit_with t (fun buf -> Slice.Writer.add_string buf record)
 
 let wait t ticket =
   if ticket >= 0 then begin

@@ -86,6 +86,14 @@ val submit : t -> string -> ticket
     [Interval]/[Never] the frame is written (not necessarily fsynced)
     before [submit] returns and the ticket is already settled. *)
 
+val submit_with : t -> (Slice.Writer.w -> unit) -> ticket
+(** [submit] of the record [encode] writes: the frame header is reserved in
+    the batch buffer, [encode] appends the payload straight after it, and
+    the length and CRC are patched in afterwards — no copy of the record is
+    made on the way to the disk. [encode] runs under the log's lock and
+    must only append to the writer it is given. If it raises, the partial
+    frame is removed, nothing is submitted, and the exception propagates. *)
+
 val wait : t -> ticket -> unit
 (** Block until the ticket's record is durable. The first waiter becomes
     the flush leader: one coalesced [write] + one [fsync] covers every

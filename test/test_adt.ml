@@ -551,3 +551,28 @@ let suite =
       QCheck_alcotest.to_alcotest prop_kv_node_decode_total;
       QCheck_alcotest.to_alcotest prop_kv_node_roundtrip;
     ]
+
+(* A sealed node enters the decoded-node cache as the tree built it, so the
+   cache must hold exactly what decoding the stored bytes gives: after each
+   batch, every node the root reaches is cached and equals its decode. *)
+let test_sealed_nodes_cached () =
+  let store = Object_store.create () in
+  let rng = Random.State.make [| 64; 10_000 |] in
+  let batch n =
+    List.init n (fun _ ->
+        let k = Printf.sprintf "key%06d" (Random.State.int rng 100_000) in
+        (k, String.make (Random.State.int rng 200) 'v'))
+  in
+  let check t =
+    Merkle_bptree.iter_nodes store (Merkle_bptree.root_digest t) (fun h ->
+        let stored = Kv_node.decode (Object_store.get_exn store h) in
+        match Node_cache.find Kv_node.cache h with
+        | Some cached -> Alcotest.(check bool) (Hash.to_hex h) true (cached = stored)
+        | None -> Alcotest.fail ("reachable node not cached: " ^ Hash.to_hex h))
+  in
+  let t = Merkle_bptree.insert_batch (Merkle_bptree.create store) (batch 2_000) in
+  check t;
+  List.iter (fun n -> check (Merkle_bptree.insert_batch t (batch n))) [ 1; 64; 500 ]
+
+let suite =
+  suite @ [ Alcotest.test_case "bptree: sealed nodes cached as decoded" `Quick test_sealed_nodes_cached ]

@@ -57,6 +57,32 @@ let test_crc32_check_value () =
   Alcotest.(check int32) "incremental = whole" (Crc32.digest "hello world")
     (Crc32.update (Crc32.digest "hello ") "world")
 
+(* The C kernel against the byte-at-a-time OCaml reference: every length
+   across the 8-byte fast path's edges, then random lengths at random
+   offsets, through [digest_sub] and a chained [update_sub]. *)
+let test_crc32_kernel_vs_reference () =
+  let rng = Random.State.make [| 32; 0xEDB8 |] in
+  let random_string n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  Alcotest.(check int32) "reference check value" 0xCBF43926l (Crc32_ref.digest "123456789");
+  for len = 0 to 64 do
+    let s = random_string len in
+    Alcotest.(check int32) (Printf.sprintf "length %d" len) (Crc32_ref.digest s) (Crc32.digest s)
+  done;
+  let big = random_string ((64 * 1024) + 64) in
+  for _ = 1 to 1_000 do
+    let len = Random.State.int rng ((64 * 1024) + 1) in
+    let off = Random.State.int rng (String.length big - len + 1) in
+    let expect = Int32.of_int (Crc32_ref.update 0 big off len) in
+    Alcotest.(check int32) (Printf.sprintf "%d bytes at %d" len off) expect
+      (Crc32.digest_sub big off len);
+    let cut = Random.State.int rng (len + 1) in
+    Alcotest.(check int32) (Printf.sprintf "%d bytes at %d, chained at %d" len off cut) expect
+      (Crc32.update_sub (Crc32.digest_sub big off cut) big (off + cut) (len - cut))
+  done;
+  let b = Bytes.of_string big in
+  Alcotest.(check int32) "bytes = string" (Crc32.digest big)
+    (Crc32.update_bytes 0l b 0 (Bytes.length b))
+
 (* --- WAL framing --- *)
 
 let test_wal_roundtrip () =
@@ -1295,14 +1321,93 @@ let test_durable_concurrent_checkpoint () =
       Alcotest.(check bool) "audit" true (Db.audit db');
       Db.close_durable d')
 
+(* --- byte pins --- *)
+
+(* The bytes a fixed durable workload leaves on disk, pinned by SHA-256:
+   the log segment before a checkpoint, the checkpoint's snapshot, and the
+   segment the commits after it go to. Write-path optimisations (encode
+   buffers, node caching, in-place WAL framing, the CRC kernel) must leave
+   every one of these bytes as it was. The framing does not depend on the
+   sync policy, so both policies must produce the same files. *)
+let pinned_workload_files sync =
+  with_dir (fun dir ->
+      let d = Db.open_durable ~sync dir in
+      let db = Db.durable_db d in
+      let batch b =
+        List.init 16 (fun i ->
+            let k = Printf.sprintf "key-%03d" (((b * 37) + (i * 11)) mod 200) in
+            (k, String.make (1 + ((b + i) mod 9 * 23)) (Char.chr (97 + ((b + i) mod 26)))))
+      in
+      for b = 0 to 9 do
+        ignore (Db.put_batch db (batch b))
+      done;
+      ignore (Db.delete db "key-011");
+      Db.sync_durable d;
+      let file_sha path =
+        Spitz_crypto.Hash.to_hex
+          (Spitz_crypto.Hash.of_string (In_channel.with_open_bin path In_channel.input_all))
+      in
+      let wal = Filename.concat dir "wal" in
+      let before = List.map file_sha (wal_segments wal) in
+      Db.checkpoint d;
+      let snapshot = file_sha (Filename.concat dir "snapshot") in
+      for b = 10 to 14 do
+        ignore (Db.put_batch db (batch b))
+      done;
+      Db.close_durable d;
+      let after = List.map file_sha (wal_segments wal) in
+      (before, snapshot, after))
+
+(* computed at the commit before the write-path rework *)
+let pin_wal_before = "36b4e43ddf5d7d0fb8e02484744eef1fee27f153a7112a5702b3b4dc3ded70b5"
+let pin_snapshot = "4c70716b4b4d4c6ceacae9810c38e6873de9f6da8ea7f7877b98c1164bddf121"
+let pin_wal_after = "187cbcc18b38a981af71f476a26eccab7cc17b66f905daa40d32b3c0a6c0ecbb"
+
+let test_pinned_bytes () =
+  List.iter
+    (fun (name, sync) ->
+       let before, snapshot, after = pinned_workload_files sync in
+       Alcotest.(check (list string)) (name ^ ": wal before checkpoint") [ pin_wal_before ] before;
+       Alcotest.(check string) (name ^ ": snapshot") pin_snapshot snapshot;
+       Alcotest.(check (list string)) (name ^ ": wal after checkpoint") [ pin_wal_after ] after)
+    [ ("group", Wal.Group { max_batch = 64; max_delay_us = 200 }); ("never", Wal.Never) ]
+
+(* An encoder that raises inside [submit_with] must leave no partial frame:
+   the records around it replay, nothing else, and the record count does not
+   include the failed one — under every policy, buffered or not. *)
+let test_wal_encoder_raises () =
+  List.iter
+    (fun sync ->
+       with_dir (fun dir ->
+           let path = Filename.concat dir "wal" in
+           let w = Wal.open_log ~sync path in
+           Wal.append w "before";
+           (match
+              Wal.submit_with w (fun buf ->
+                  Slice.Writer.add_string buf (String.make 5_000 'x');
+                  failwith "encoder gave up")
+            with
+            | _ -> Alcotest.fail "submit_with swallowed the encoder's exception"
+            | exception Failure _ -> ());
+           Wal.append w "after";
+           Alcotest.(check int) "failed record not counted" 2 (Wal.stats w).Wal.records;
+           Wal.close w;
+           let r = Wal.replay ~repair:false path in
+           Alcotest.(check (list string)) "records around the failure" [ "before"; "after" ]
+             r.Wal.records;
+           Alcotest.(check int) "no torn bytes" 0 r.Wal.torn_bytes))
+    [ Wal.Always; Wal.Interval 2; Wal.Never; Wal.Group { max_batch = 8; max_delay_us = 100 } ]
+
 let suite =
   [
     Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+    Alcotest.test_case "crc32 kernel vs reference" `Quick test_crc32_kernel_vs_reference;
     Alcotest.test_case "wal roundtrip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal torn tail at every offset" `Quick test_wal_torn_tail_every_offset;
     Alcotest.test_case "wal bit flip truncates tail" `Quick test_wal_bitflip_tail;
     Alcotest.test_case "wal submit/wait coalesces a batch" `Quick test_wal_submit_wait_coalesce;
     Alcotest.test_case "wal group policy roundtrip" `Quick test_wal_group_policy_append;
+    Alcotest.test_case "wal encoder failure leaves no frame" `Quick test_wal_encoder_raises;
     Alcotest.test_case "wal concurrent appenders" `Quick test_wal_concurrent_appenders;
     Alcotest.test_case "wal crash mid coalesced batch" `Quick test_wal_crash_mid_batch;
     Alcotest.test_case "wal crash before batch fsync" `Quick test_wal_crash_before_sync_multi;
@@ -1355,4 +1460,5 @@ let suite =
       test_durable_concurrent_committers;
     Alcotest.test_case "concurrent run + torn tail" `Quick test_durable_concurrent_torn_tail;
     Alcotest.test_case "checkpoint races committers" `Quick test_durable_concurrent_checkpoint;
+    Alcotest.test_case "pinned wal and snapshot bytes" `Quick test_pinned_bytes;
   ]

@@ -490,9 +490,24 @@ let test_kill_lost_tail_repaired_by_retry () =
   Session.close s2;
   Session.close stale
 
+(* A session's write tokens carry its nonce on every Apply, so a nonce
+   whose width followed the clock would make the wire bytes of a fixed
+   workload differ from run to run. *)
+let test_nonce_width () =
+  let len clock = String.length (Session.nonce ~pid:4242 ~session:3 ~clock) in
+  List.iter
+    (fun clock -> Alcotest.(check int) (Printf.sprintf "clock %d" clock) (len 0) (len clock))
+    [ 1; 9; 10; 999_999; 1_000_000; 9_999_999; 10_000_000; 0xFFFFFF; 0x1000000; max_int ];
+  List.iter
+    (fun pid ->
+       Alcotest.(check int) (Printf.sprintf "pid %d" pid) 15
+         (String.length (Session.nonce ~pid ~session:7 ~clock:1_234_567)))
+    [ 1; 99_999; 100_000; 4_194_303 ]
+
 let suite =
   [
     Alcotest.test_case "session roundtrip over loopback" `Quick test_session_roundtrip;
+    Alcotest.test_case "session nonce width ignores the clock" `Quick test_nonce_width;
     Alcotest.test_case "pipelined requests served in order" `Quick test_pipelined_requests;
     Alcotest.test_case "mid-frame disconnect" `Quick test_mid_frame_disconnect;
     Alcotest.test_case "slowloris byte-at-a-time frames" `Quick test_slowloris_frames;
